@@ -9,7 +9,9 @@
 // dominate. This bench measures back-to-back small-problem throughput in
 // three modes:
 //
-//   owned  — each call spawns and joins its own workers (the old behavior)
+//   owned  — a private pool per call: no caller pool, so each call's
+//            graph spawns and joins its own workers (row name kept for
+//            JSON compatibility)
 //   pool   — every call attaches to one persistent rt::WorkerPool
 //   batch  — calu_factor_batch submits several DAGs to the pool at once
 //

@@ -34,14 +34,18 @@ int main() {
 
   Matrix a = random_matrix(m, n, 4040);
   const double flops = bench::lu_flops(m, n);
+  const bool real = bench::real_mode();
   for (const Algo& algo : algos) {
-    // One serial record pass, then simulate each core count (the record is
-    // reused internally by measure for each P; acceptable cost).
+    auto run = [&](int threads) { return algo.comp.run(a, threads); };
+    // Simulated mode: one serial record pass, list-scheduled onto every P.
+    // Real mode runs the algorithm once per P.
+    bench::RunArtifacts recorded;
+    if (!real) recorded = run(0);
     std::vector<double> secs;
     for (idx p : cores) {
-      secs.push_back(bench::measure(
-                         [&](int threads) { return algo.comp.run(a, threads); },
-                         flops, static_cast<int>(p))
+      const int np = static_cast<int>(p);
+      secs.push_back((real ? bench::measure(run, flops, np)
+                           : bench::simulate_recorded(recorded, flops, np))
                          .seconds);
     }
     t.row().cell(algo.name);

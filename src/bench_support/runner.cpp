@@ -51,7 +51,12 @@ Measurement measure(const std::function<RunArtifacts(int)>& run, double flops,
     }
     return m;
   }
-  RunArtifacts art = run(0);  // serial record mode
+  return simulate_recorded(run(0), flops, cores);  // serial record mode
+}
+
+Measurement simulate_recorded(const RunArtifacts& art, double flops,
+                              int cores) {
+  Measurement m;
   sim::SimResult sr = sim::simulate(art.trace, art.edges, cores);
   m.seconds = static_cast<double>(sr.makespan_ns) * 1e-9;
   m.critical_path_s = static_cast<double>(sr.critical_path_ns) * 1e-9;
@@ -68,7 +73,7 @@ Measurement measure(const std::function<RunArtifacts(int)>& run, double flops,
         0.0, 1.0);
   }
   m.schedule = std::move(sr.schedule);
-  m.sched = std::move(art.sched);
+  m.sched = art.sched;
   m.mem = art.mem;
   return m;
 }

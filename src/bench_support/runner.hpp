@@ -56,6 +56,13 @@ bool real_mode();
 Measurement measure(const std::function<RunArtifacts(int)>& run, double flops,
                     int cores);
 
+/// Simulated-mode measurement of an already recorded serial run (`run(0)`)
+/// at `cores`: a core-count sweep records once and list-schedules that one
+/// recording for every P. measure() in simulated mode is exactly
+/// simulate_recorded(run(0), flops, cores).
+Measurement simulate_recorded(const RunArtifacts& recorded, double flops,
+                              int cores);
+
 /// Environment overrides: integer (CAMULT_BENCH_M=...), comma-separated
 /// list (CAMULT_BENCH_NS=10,25,50), with defaults.
 idx env_idx(const char* name, idx fallback);

@@ -1,41 +1,40 @@
 #include "core/calu.hpp"
 
-#include <cassert>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "blas/blas.hpp"
-#include "core/lookahead.hpp"
+#include "core/factor_driver.hpp"
 #include "core/partition.hpp"
 #include "core/tournament.hpp"
 #include "core/tslu.hpp"
 #include "lapack/getf2.hpp"
 #include "lapack/laswp.hpp"
-#include "runtime/dep_tracker.hpp"
 
 namespace camult::core {
 // Named (not anonymous) so CaluAsync::Impl — whose type is declared in the
-// public header — can hold a CaluJob without giving an external-linkage
-// class an internal-linkage member.
+// public header — can derive from the driver over CaluAlgo without giving
+// an external-linkage class an internal-linkage base.
 namespace calu_impl {
 
+using detail::add_tile_range;
+using detail::DriverState;
+using detail::tile_key;
 using rt::AccessMode;
 using rt::BlockAccess;
-using rt::TaskId;
 using rt::TaskKind;
 
 // Key spaces for the dependency tracker: matrix tiles, tournament candidate
 // slots, and the per-iteration pivot decision. The candidate-slot stride is
-// derived from the real per-iteration slot bound (see calu_submit) — a fixed
-// stride would silently alias iteration k's keys with iteration k+1's once a
-// panel produced more slots than the stride, corrupting the DAG. The
-// iteration index `k` here is a KeyRing slot in windowed mode (the dep-key
-// spaces wrap modulo window + 2 — see lookahead.hpp) and the global index
-// otherwise; checked_key_offset throws instead of wrapping past the 2^59
-// per-space envelope, which keeps (1<<60) | (1<<61) | (1<<62) disjoint.
-rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
+// derived from the real per-iteration slot bound (DriverState::key_stride)
+// — a fixed stride would silently alias iteration k's keys with iteration
+// k+1's once a panel produced more slots than the stride, corrupting the
+// DAG. The iteration index `k` here is a KeyRing slot in windowed mode (the
+// dep-key spaces wrap modulo window + 2 — see lookahead.hpp) and the global
+// index otherwise; checked_key_offset throws instead of wrapping past the
+// 2^59 per-space envelope, which keeps (1<<60) | (1<<61) | (1<<62) disjoint.
 rt::BlockKey cand_key(idx k, idx slot, idx stride) {
   return (idx{1} << 60) + checked_key_offset(k, stride, slot);
 }
@@ -73,81 +72,50 @@ struct PanelHealthSlot {
   bool fell_back = false;
 };
 
-void add_tile_range(std::vector<BlockAccess>& acc, idx i0, idx i1, idx j,
-                    AccessMode mode) {
-  for (idx i = i0; i < i1; ++i) acc.push_back({tile_key(i, j), mode});
-}
-
-// Submission-side state for the sliding-window pump: everything the
-// per-iteration submit loop needs to resume where it left off. Lives on the
-// job (heap, stable address) because calu_collect keeps pumping after the
-// constructor returned. With window == 0 the pump degenerates to the old
-// submit-everything-up-front loop run to completion inside calu_submit.
-struct CaluSubmitCtx {
-  MatrixView a;
-  CaluOptions opts;
-  idx m = 0, n = 0, k_total = 0, b = 0;
-  idx n_panels = 0, n_blocks = 0, m_blocks = 0;
-  idx cand_stride = 0;
-  idx window = 0;   // 0 = full-DAG mode
-  KeyRing ring;     // dep-key reuse across retired iterations
-  rt::DepTracker tracker;
-  LookaheadPriorities prio;
-  // Task ids are assigned densely in submission order, so the id can be
-  // known before submit() and used to register the block accesses.
-  TaskId next_id = 0;
-  idx next_k = 0;           // first not-yet-submitted iteration
-  bool swaps_done = false;  // deferred left swaps submitted
-};
-
-// Everything a submitted-but-not-yet-collected factorization keeps alive.
+// The CALU policy of the shared right-looking driver (factor_driver.hpp).
 // Task lambdas hold raw pointers into these members (result.ipiv,
-// panel_info slots, IterStates), so a CaluJob must not move between
-// submit and collect — the batch driver heap-allocates each job.
-struct CaluJob {
+// panel_info slots, IterStates); the driver never moves.
+struct CaluAlgo {
+  using Options = CaluOptions;
+  using Result = CaluResult;
+
+  CaluAlgo(DriverState& ctx, const CaluOptions& o) : C(ctx), opts(o) {
+    result.ipiv.assign(static_cast<std::size_t>(C.k_total), 0);
+    panel_info.assign(static_cast<std::size_t>(C.n_panels), 0);
+    panel_health.assign(static_cast<std::size_t>(C.n_panels),
+                        PanelHealthSlot{});
+    iters.reserve(static_cast<std::size_t>(C.n_panels));
+  }
+
+  void submit_iteration(idx k);
+  void submit_tail();
+  void retire(idx k);
+  void fold();
+
+  DriverState& C;
+  const CaluOptions& opts;
   CaluResult result;
   std::vector<idx> panel_info;
   std::vector<PanelHealthSlot> panel_health;
   std::vector<std::unique_ptr<IterState>> iters;
-  std::unique_ptr<rt::TaskGraph> graph;
-  std::unique_ptr<CaluSubmitCtx> ctx;
 };
-
-TaskId calu_add_task(CaluJob& job, const std::vector<BlockAccess>& acc,
-                     rt::TaskOptions topts, std::function<void()> fn) {
-  CaluSubmitCtx& C = *job.ctx;
-  topts.priority = biased_priority(topts.priority, C.opts.priority_bias);
-  const std::vector<TaskId> deps = C.tracker.depends(C.next_id, acc);
-  const TaskId id = job.graph->submit(deps, std::move(topts), std::move(fn));
-  assert(id == C.next_id);
-  ++C.next_id;
-  return id;
-}
 
 // Submit every task of panel iteration k (tournament, pivot, L, pack, U, S,
 // pack release). Identical task bodies, priorities, and dependency structure
 // whether the pump runs it eagerly (full-DAG) or throttled (windowed) — only
 // the dep-key indices wrap through the KeyRing in windowed mode, which
 // resolves to the same edges because the previous slot owner has retired.
-void calu_submit_iteration(CaluJob& job, idx k) {
-  CaluSubmitCtx& C = *job.ctx;
+void CaluAlgo::submit_iteration(idx k) {
   MatrixView a = C.a;
-  const CaluOptions& opts = C.opts;
   const idx m = C.m;
   const idx n = C.n;
   const idx k_total = C.k_total;
   const idx b = C.b;
   const idx n_blocks = C.n_blocks;
   const idx m_blocks = C.m_blocks;
-  const idx cand_stride = C.cand_stride;
+  const idx cand_stride = C.key_stride;
   const idx kr = C.ring.slot(k);  // dep-key iteration index
   const LookaheadPriorities& prio = C.prio;
-  std::vector<std::unique_ptr<IterState>>& iters = job.iters;
-  auto add_task = [&job](const std::vector<BlockAccess>& acc,
-                         rt::TaskOptions topts,
-                         std::function<void()> fn) -> TaskId {
-    return calu_add_task(job, acc, std::move(topts), std::move(fn));
-  };
 
   {
     const idx row0 = k * b;                        // panel top row
@@ -181,10 +149,12 @@ void calu_submit_iteration(CaluJob& job, idx k) {
       topts.priority = prio.panel(k);
       topts.label = "leaf" + std::to_string(i);
       const lapack::LuPanelKernel kern = opts.leaf_kernel;
-      add_task(acc, std::move(topts), [S, panel, lstart, lrows, i, b, kern]() {
-        S->slot[static_cast<std::size_t>(i)] = tournament_leaf(
-            panel.block(lstart, 0, lrows, panel.cols()), lstart, b, kern);
-      });
+      C.add_task(acc, std::move(topts),
+                 [S, panel, lstart, lrows, i, b, kern]() {
+                   S->slot[static_cast<std::size_t>(i)] = tournament_leaf(
+                       panel.block(lstart, 0, lrows, panel.cols()), lstart, b,
+                       kern);
+                 });
     }
 
     // --- Task P (tree nodes).
@@ -204,7 +174,7 @@ void calu_submit_iteration(CaluJob& job, idx k) {
       topts.label = "node l" + std::to_string(step.level);
       std::vector<int> sources = step.sources;
       const lapack::LuPanelKernel kern = opts.leaf_kernel;
-      add_task(acc, std::move(topts), [S, sources, b, kern]() {
+      C.add_task(acc, std::move(topts), [S, sources, b, kern]() {
         std::vector<const Candidates*> srcs;
         srcs.reserve(sources.size());
         for (int s : sources) {
@@ -228,15 +198,15 @@ void calu_submit_iteration(CaluJob& job, idx k) {
       topts.iteration = static_cast<int>(k);
       topts.priority = prio.panel(k);
       topts.label = "pivot";
-      PivotVector* global_ipiv = &job.result.ipiv;
-      idx* info_slot = &job.panel_info[static_cast<std::size_t>(k)];
-      PanelHealthSlot* hslot = &job.panel_health[static_cast<std::size_t>(k)];
+      PivotVector* global_ipiv = &result.ipiv;
+      idx* info_slot = &panel_info[static_cast<std::size_t>(k)];
+      PanelHealthSlot* hslot = &panel_health[static_cast<std::size_t>(k)];
       const bool monitor = opts.monitor;
       const double growth_limit = opts.growth_limit;
       const lapack::LuPanelKernel kern = opts.leaf_kernel;
-      add_task(acc, std::move(topts), [S, panel, row0, jb, global_ipiv,
-                                       info_slot, hslot, monitor,
-                                       growth_limit, kern]() {
+      C.add_task(acc, std::move(topts), [S, panel, row0, jb, global_ipiv,
+                                         info_slot, hslot, monitor,
+                                         growth_limit, kern]() {
         const Candidates& root = S->slot[0];
         // Health decision point: the tournament only READ the panel, and
         // the root's packed LU is exactly the U_KK about to be installed —
@@ -301,9 +271,9 @@ void calu_submit_iteration(CaluJob& job, idx k) {
       topts.iteration = static_cast<int>(k);
       topts.priority = prio.lfactor(k);
       topts.label = "L" + std::to_string(i);
-      idx* info_slot = &job.panel_info[static_cast<std::size_t>(k)];
-      add_task(acc, std::move(topts), [S, panel, lstart, lrows, jb,
-                                       info_slot]() {
+      idx* info_slot = &panel_info[static_cast<std::size_t>(k)];
+      C.add_task(acc, std::move(topts), [S, panel, lstart, lrows, jb,
+                                         info_slot]() {
         // Ordered after the pivot task through the panel-tile edges, so
         // both flags are stable here. A fallback panel was fully factored
         // by GEPP already; a singular U_KK (monitor off / non-finite input)
@@ -367,7 +337,7 @@ void calu_submit_iteration(CaluJob& job, idx k) {
         topts.priority = prio.lfactor(k);  // critical path ahead of the S's
         topts.label = "pack i" + std::to_string(i);
         MatrixView lblk = a.block(row0 + lstart, col0, lrows, jb);
-        add_task(acc, std::move(topts), [S, lblk, i]() {
+        C.add_task(acc, std::move(topts), [S, lblk, i]() {
           S->lpack[static_cast<std::size_t>(i)] =
               blas::pack_a(lblk, blas::Trans::NoTrans);
         });
@@ -393,7 +363,7 @@ void calu_submit_iteration(CaluJob& job, idx k) {
       topts.label = "U j" + std::to_string(jblk);
       MatrixView col = a.block(row0, jcol0, panel_rows, jcols);
       MatrixView lkk = a.block(row0, col0, jb, jb);
-      add_task(acc, std::move(topts), [S, col, lkk, jb]() {
+      C.add_task(acc, std::move(topts), [S, col, lkk, jb]() {
         lapack::laswp(col, 0, jb, S->piv);
         blas::trsm(blas::Side::Left, blas::Uplo::Lower, blas::Trans::NoTrans,
                    blas::Diag::Unit, 1.0, lkk, col.rows_range(0, jb));
@@ -438,12 +408,12 @@ void calu_submit_iteration(CaluJob& job, idx k) {
         MatrixView ublk = a.block(row0, jcol0, jb, jcols);
         MatrixView cblk = a.block(row0 + lstart, jcol0, lrows, jcols);
         if (pack_here) {
-          add_task(acc, std::move(topts), [S, ublk, cblk, i]() {
+          C.add_task(acc, std::move(topts), [S, ublk, cblk, i]() {
             blas::gemm_packed(-1.0, S->lpack[static_cast<std::size_t>(i)],
                               blas::Trans::NoTrans, ublk, 1.0, cblk);
           });
         } else {
-          add_task(acc, std::move(topts), [lblk, ublk, cblk]() {
+          C.add_task(acc, std::move(topts), [lblk, ublk, cblk]() {
             blas::gemm(blas::Trans::NoTrans, blas::Trans::NoTrans, -1.0, lblk,
                        ublk, 1.0, cblk);
           });
@@ -465,7 +435,7 @@ void calu_submit_iteration(CaluJob& job, idx k) {
       topts.iteration = static_cast<int>(k);
       topts.priority = 0;
       topts.label = "packfree";
-      add_task(acc, std::move(topts), [S]() {
+      C.add_task(acc, std::move(topts), [S]() {
         for (auto& p : S->lpack) p = blas::PackedPanel();
       });
     }
@@ -478,8 +448,7 @@ void calu_submit_iteration(CaluJob& job, idx k) {
 // n_panels - 1 (nondecreasing tags) and their bodies read the retained
 // per-iteration piv vectors — which is exactly why the retire hook frees
 // tournament slots and pack slabs but never piv.
-void calu_submit_left_swaps(CaluJob& job) {
-  CaluSubmitCtx& C = *job.ctx;
+void CaluAlgo::submit_tail() {
   MatrixView a = C.a;
   const idx m = C.m;
   const idx n = C.n;
@@ -488,7 +457,6 @@ void calu_submit_left_swaps(CaluJob& job) {
   const idx n_panels = C.n_panels;
   const idx n_blocks = C.n_blocks;
   const idx m_blocks = C.m_blocks;
-  std::vector<std::unique_ptr<IterState>>& iters = job.iters;
   // In windowed mode only iterations >= n_panels - 1 - window can still be
   // in flight here (the pump waited for everything older to retire before
   // submitting the last panel), and those occupy distinct KeyRing slots
@@ -517,7 +485,7 @@ void calu_submit_left_swaps(CaluJob& job) {
     }
     MatrixView colv = a.block(0, jcol0, m, jcols);
     const idx jb_here = jblk;
-    calu_add_task(job, acc, std::move(topts), [later, colv, jb_here, b]() {
+    C.add_task(acc, std::move(topts), [later, colv, jb_here, b]() {
       idx kk = jb_here + 1;
       for (IterState* it : later) {
         MatrixView below = colv.trailing(kk * b, 0);
@@ -528,133 +496,30 @@ void calu_submit_left_swaps(CaluJob& job) {
   }
 }
 
-// Advance the submission pump until iteration `stop` (exclusive) has been
-// submitted; once every panel iteration is in, submit the deferred left
-// swaps. Windowed mode throttles: iteration k is only submitted after
-// iteration k - window fully retired (its slabs recycled, its IterState
-// buffers freed by the retire hook), and each iteration is sealed as soon
-// as its last task is in so completions can retire it. On cancellation the
-// pump stops submitting — skipped tasks still complete, so the retired
-// prefix stays consistent and wait() reports the CancelledError.
-void calu_pump(CaluJob& job, idx stop) {
-  CaluSubmitCtx& C = *job.ctx;
-  rt::TaskGraph& graph = *job.graph;
-  const idx lim = std::min(stop, C.n_panels);
-  while (C.next_k < lim) {
-    if (C.window > 0) {
-      if (graph.aborted()) return;
-      if (C.next_k > C.window) {
-        graph.wait_retired_iterations(C.next_k - C.window);
-      }
-    }
-    calu_submit_iteration(job, C.next_k);
-    // The last iteration stays open for the left-swap tasks below.
-    if (C.window > 0 && C.next_k < C.n_panels - 1) {
-      graph.seal_iterations(C.next_k);
-    }
-    ++C.next_k;
-  }
-  if (C.next_k >= C.n_panels && !C.swaps_done) {
-    if (!(C.window > 0 && graph.aborted())) {
-      calu_submit_left_swaps(job);
-    }
-    if (C.window > 0) graph.seal_iterations(C.n_panels - 1);
-    C.swaps_done = true;
-  }
+// Retirement frees the per-iteration working set the trailing tasks no
+// longer need — tournament candidate blocks and pack slabs (the packfree
+// task already emptied the slabs; shrink releases the vectors too). The piv
+// vector, jb, and fell_back stay: the deferred left swaps and the
+// collect-time folds read them after the iteration is long gone.
+void CaluAlgo::retire(idx k) {
+  IterState& st = *iters[static_cast<std::size_t>(k)];
+  st.slot.clear();
+  st.slot.shrink_to_fit();
+  st.lpack.clear();
+  st.lpack.shrink_to_fit();
 }
 
-// Set up one factorization's graph + submission context and start the pump:
-// everything with window == 0 (the full DAG, completing here in inline
-// mode), the first `window` iterations otherwise — calu_collect pumps the
-// rest. Returns immediately in real-thread/attached mode.
-void calu_submit(MatrixView a, const CaluOptions& opts, CaluJob& job) {
-  auto ctx = std::make_unique<CaluSubmitCtx>();
-  CaluSubmitCtx& C = *ctx;
-  C.a = a;
-  C.opts = opts;
-  C.m = a.rows();
-  C.n = a.cols();
-  C.k_total = std::min(C.m, C.n);
-  C.b = std::max<idx>(1, std::min(opts.b, C.k_total));
-  C.n_panels = (C.k_total + C.b - 1) / C.b;
-  C.n_blocks = (C.n + C.b - 1) / C.b;  // column blocks
-  C.m_blocks = (C.m + C.b - 1) / C.b;  // row blocks (tracker granularity)
-  // Candidate-slot key stride: partition_panel_rows returns at most
-  // min(tr, m_blocks) leaves (leaf boundaries are multiples of b), so this
-  // bound keeps every iteration's slot keys disjoint for any user-supplied
-  // tr — unbounded tr used to overflow a fixed stride of 8192.
-  C.cand_stride = std::max<idx>(1, std::min(opts.tr, C.m_blocks)) + 1;
-  C.window = (opts.window > 0 && C.n_panels > 0) ? opts.window : 0;
-  C.ring.ring = C.window > 0 ? C.window + 2 : 0;
-  // Look-ahead priority bands (see lookahead.hpp): panel path on top, then
-  // the U/S tasks of column k+1 that unblock panel k+1, then ordinary
-  // trailing updates — so the next panel races ahead as soon as its column
-  // is up to date.
-  C.prio = LookaheadPriorities{C.n_panels, C.n_blocks, opts.lookahead};
-
-  job.result.ipiv.assign(static_cast<std::size_t>(C.k_total), 0);
-  job.panel_info.assign(static_cast<std::size_t>(C.n_panels), 0);
-  job.panel_health.assign(static_cast<std::size_t>(C.n_panels),
-                          PanelHealthSlot{});
-  job.iters.reserve(static_cast<std::size_t>(C.n_panels));
-
-  rt::TaskGraph::Config graph_cfg;
-  graph_cfg.num_threads = opts.num_threads;
-  graph_cfg.record_trace = opts.record_trace;
-  graph_cfg.policy = opts.scheduler;
-  graph_cfg.pool = opts.pool;
-  graph_cfg.cancel = opts.cancel;
-  graph_cfg.fault = opts.fault;
-  graph_cfg.fault_salt = opts.fault_salt;
-  job.graph = std::make_unique<rt::TaskGraph>(graph_cfg);
-  job.ctx = std::move(ctx);
-
-  if (C.window > 0) {
-    job.graph->track_iterations(C.n_panels);
-    // Retirement frees the per-iteration working set the trailing tasks no
-    // longer need — tournament candidate blocks and pack slabs (the packfree
-    // task already emptied the slabs; shrink releases the vectors too). The
-    // piv vector, jb, and fell_back stay: the deferred left swaps and the
-    // collect-time folds read them after the iteration is long gone. Runs
-    // on the submission thread (advance_retired), so pushing new IterStates
-    // concurrently is safe — same thread.
-    std::vector<std::unique_ptr<IterState>>* iters_p = &job.iters;
-    job.graph->set_retire_hook([iters_p](idx k) {
-      IterState& st = *(*iters_p)[static_cast<std::size_t>(k)];
-      st.slot.clear();
-      st.slot.shrink_to_fit();
-      st.lpack.clear();
-      st.lpack.shrink_to_fit();
-    });
-    calu_pump(job, C.window);
-  } else {
-    calu_pump(job, C.n_panels);
-  }
-}
-
-// Drain the job's graph, fold panel infos + health, harvest trace/stats.
-// The graph itself is destroyed with the job (its destructor detaches from
-// the pool). `sched_out`, when set, receives the scheduler counters even on
-// the throwing path — the only window into how much of the DAG a
-// fast-abort skipped, since the exception discards the result.
-CaluResult calu_collect(CaluJob& job, bool record_trace,
-                        rt::SchedulerStats* sched_out) {
-  try {
-    calu_pump(job, job.ctx->n_panels);
-    job.graph->wait();
-  } catch (...) {
-    if (sched_out != nullptr) *sched_out = job.graph->stats();
-    throw;
-  }
-  for (idx inf : job.panel_info) {
+// Fold the per-panel infos and health slots the pivot tasks wrote.
+void CaluAlgo::fold() {
+  for (idx inf : panel_info) {
     if (inf != 0) {
-      job.result.info = inf;
+      result.info = inf;
       break;
     }
   }
-  HealthReport& health = job.result.health;
-  for (std::size_t k = 0; k < job.panel_health.size(); ++k) {
-    const PanelHealthSlot& slot = job.panel_health[k];
+  HealthReport& health = result.health;
+  for (std::size_t k = 0; k < panel_health.size(); ++k) {
+    const PanelHealthSlot& slot = panel_health[k];
     if (slot.nonfinite) health.nan_detected = true;
     if (slot.fell_back) {
       ++health.fallback_panels;
@@ -662,113 +527,25 @@ CaluResult calu_collect(CaluJob& job, bool record_trace,
     }
     if (slot.growth > health.max_growth) health.max_growth = slot.growth;
   }
-  if (record_trace) {
-    job.result.trace = job.graph->trace();
-    job.result.edges = job.graph->edges();
-  }
-  job.result.sched = job.graph->stats();
-  job.result.mem = job.graph->memory();
-  if (sched_out != nullptr) *sched_out = job.result.sched;
-  return std::move(job.result);
 }
 
 }  // namespace calu_impl
 
-using calu_impl::CaluJob;
+using CaluDriver = detail::FactorDriver<calu_impl::CaluAlgo>;
 
-struct CaluAsync::Impl {
-  CaluJob job;
-  bool record_trace = true;
-  rt::SchedulerStats* sched_out = nullptr;
+template <>
+struct CaluAsync::Impl : CaluDriver {
+  using CaluDriver::CaluDriver;
 };
-
-CaluAsync::CaluAsync(MatrixView a, const CaluOptions& opts)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->record_trace = opts.record_trace;
-  impl_->sched_out = opts.sched_out;
-  calu_impl::calu_submit(a, opts, impl_->job);
-}
-
-// CaluJob's graph member drains and detaches in its destructor, so dropping
-// an uncollected handle cannot wedge an attached pool.
-CaluAsync::~CaluAsync() = default;
-CaluAsync::CaluAsync(CaluAsync&&) noexcept = default;
-CaluAsync& CaluAsync::operator=(CaluAsync&&) noexcept = default;
-
-CaluResult CaluAsync::collect() {
-  if (impl_ == nullptr) {
-    throw std::logic_error("CaluAsync::collect called twice");
-  }
-  const std::unique_ptr<Impl> impl = std::move(impl_);
-  return calu_impl::calu_collect(impl->job, impl->record_trace,
-                                 impl->sched_out);
-}
+template class FactorAsync<CaluOptions, CaluResult>;
 
 CaluResult calu_factor(MatrixView a, const CaluOptions& opts) {
-  CaluJob job;
-  calu_impl::calu_submit(a, opts, job);
-  return calu_impl::calu_collect(job, opts.record_trace, opts.sched_out);
+  return CaluDriver(a, opts).collect();
 }
 
 std::vector<CaluResult> calu_factor_batch(const std::vector<MatrixView>& as,
                                           const CaluOptions& opts) {
-  std::vector<CaluResult> out;
-  out.reserve(as.size());
-  // Each job gets its own sched slot so even a cancelled result carries its
-  // run's real skip accounting (the svc layer bills tenants from it). A
-  // caller-supplied sched_out keeps the single-problem semantics: it ends
-  // up holding the last job's counters.
-  std::vector<rt::SchedulerStats> scheds(as.size());
-  // Inline mode executes tasks at submit time on this thread; batching
-  // would just interleave serial work. Keep it one problem at a time. A
-  // fired cancel token yields per-job cancelled results (completed prefix
-  // intact) instead of throwing the whole batch away; task errors still
-  // propagate.
-  if (opts.num_threads == 0 || as.size() <= 1) {
-    for (std::size_t i = 0; i < as.size(); ++i) {
-      CaluOptions jopts = opts;
-      jopts.sched_out = &scheds[i];
-      try {
-        out.push_back(calu_factor(as[i], jopts));
-      } catch (const rt::CancelledError&) {
-        CaluResult r;
-        r.cancelled = true;
-        r.sched = scheds[i];
-        out.push_back(std::move(r));
-      }
-      if (opts.sched_out != nullptr) *opts.sched_out = scheds[i];
-    }
-    return out;
-  }
-  rt::WorkerPool* pool = opts.pool;
-  std::unique_ptr<rt::WorkerPool> owned;
-  if (pool == nullptr) {
-    owned = std::make_unique<rt::WorkerPool>(
-        rt::WorkerPoolConfig{opts.num_threads, false});
-    pool = owned.get();
-  }
-  // Submit every DAG before collecting any: the pool's workers rotate
-  // between the attached graphs, so the whole batch runs concurrently.
-  std::vector<CaluAsync> jobs;
-  jobs.reserve(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    CaluOptions jopts = opts;
-    jopts.pool = pool;
-    jopts.sched_out = &scheds[i];
-    jobs.emplace_back(as[i], jopts);
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    try {
-      out.push_back(jobs[i].collect());
-    } catch (const rt::CancelledError&) {
-      CaluResult r;
-      r.cancelled = true;
-      r.sched = scheds[i];
-      out.push_back(std::move(r));
-    }
-    if (opts.sched_out != nullptr) *opts.sched_out = scheds[i];
-  }
-  return out;
+  return detail::factor_batch<calu_impl::CaluAlgo>(as, opts);
 }
 
 }  // namespace camult::core

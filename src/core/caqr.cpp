@@ -8,32 +8,32 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/lookahead.hpp"
+#include "core/factor_driver.hpp"
 #include "core/partition.hpp"
 #include "core/tournament.hpp"  // screen_panel (the health input screen)
 #include "matrix/norms.hpp"
-#include "runtime/dep_tracker.hpp"
 
 namespace camult::core {
 // Named (not anonymous) so CaqrAsync::Impl — whose type is declared in the
-// public header — can hold a CaqrJob without giving an external-linkage
-// class an internal-linkage member.
+// public header — can derive from the driver over CaqrAlgo without giving
+// an external-linkage class an internal-linkage base.
 namespace caqr_impl {
 
+using detail::add_tile_range;
+using detail::DriverState;
+using detail::tile_key;
 using rt::AccessMode;
 using rt::BlockAccess;
-using rt::TaskId;
 using rt::TaskKind;
 
 // The leaf/node key stride is derived from the real per-iteration slot
-// bound (see caqr_submit) — a fixed stride would silently alias iteration
-// k's keys with iteration k+1's once a panel produced more slots than the
-// stride, corrupting the DAG. The iteration index `k` here is a KeyRing
-// slot in windowed mode (wrapping modulo window + 2 — see lookahead.hpp)
-// and the global index otherwise; checked_key_offset throws instead of
-// wrapping past the 2^59 per-space envelope, which keeps the spaces
-// disjoint even through the pack keys' 2*offset+1 even/odd doubling.
-rt::BlockKey tile_key(idx i, idx j) { return rt::block_key(i, j); }
+// bound (DriverState::key_stride) — a fixed stride would silently alias
+// iteration k's keys with iteration k+1's once a panel produced more slots
+// than the stride, corrupting the DAG. The iteration index `k` here is a
+// KeyRing slot in windowed mode (wrapping modulo window + 2 — see
+// lookahead.hpp) and the global index otherwise; checked_key_offset throws
+// instead of wrapping past the 2^59 per-space envelope, which keeps the
+// spaces disjoint even through the pack keys' 2*offset+1 even/odd doubling.
 rt::BlockKey leaf_key(idx k, idx slot, idx stride) {
   return (idx{1} << 60) + checked_key_offset(k, stride, slot);
 }
@@ -58,57 +58,36 @@ struct IterPacks {
   std::vector<lapack::LarfbPackedV> node;
 };
 
-void add_tile_range(std::vector<BlockAccess>& acc, idx i0, idx i1, idx j,
-                    AccessMode mode) {
-  for (idx i = i0; i < i1; ++i) acc.push_back({tile_key(i, j), mode});
-}
+// The CAQR policy of the shared right-looking driver (factor_driver.hpp).
+// Task lambdas point into result.iterations' heap array and the heap
+// IterPacks.
+struct CaqrAlgo {
+  using Options = CaqrOptions;
+  using Result = CaqrResult;
 
-// Submission-side state for the sliding-window pump (see CaluSubmitCtx in
-// calu.cpp — same shape): everything the per-iteration submit loop needs to
-// resume where it left off. With window == 0 the pump degenerates to the
-// old submit-everything-up-front loop run to completion inside caqr_submit.
-struct CaqrSubmitCtx {
-  MatrixView a;
-  CaqrOptions opts;
-  idx m = 0, n = 0, k_total = 0, b = 0;
-  idx n_panels = 0, n_blocks = 0, m_blocks = 0;
-  idx key_stride = 0;
-  idx window = 0;   // 0 = full-DAG mode
-  KeyRing ring;     // dep-key reuse across retired iterations
-  rt::DepTracker tracker;
-  LookaheadPriorities prio;
-  // Task ids are assigned densely in submission order, so the id can be
-  // known before submit() and used to register the block accesses.
-  TaskId next_id = 0;
-  idx next_k = 0;  // first not-yet-submitted iteration
-};
+  CaqrAlgo(DriverState& ctx, const CaqrOptions& o) : C(ctx), opts(o) {
+    result.m = C.m;
+    result.n = C.n;
+    result.iterations.resize(static_cast<std::size_t>(C.n_panels));
+    packs.reserve(static_cast<std::size_t>(C.n_panels));
+    // Screen the input before the first task can mutate it (the driver
+    // builds the graph after this): the verdict describes the caller's
+    // matrix, not intermediate update state. Householder QR never falls
+    // back, so unlike CALU one whole-matrix scan suffices.
+    if (opts.monitor) screen = screen_panel(C.a);
+  }
 
-// State a submitted-but-not-yet-collected factorization keeps alive. Task
-// lambdas point into result.iterations' heap array and the heap IterPacks,
-// both stable under moves of the job, but the batch driver heap-allocates
-// jobs anyway for symmetry with CALU.
-struct CaqrJob {
+  void submit_iteration(idx k);
+  void submit_tail() {}  // no cross-iteration tail, unlike CALU
+  void retire(idx k);
+  void fold();
+
+  DriverState& C;
+  const CaqrOptions& opts;
   CaqrResult result;
   std::vector<std::unique_ptr<IterPacks>> packs;
-  std::unique_ptr<rt::TaskGraph> graph;
-  std::unique_ptr<CaqrSubmitCtx> ctx;
-  // Health monitor state: the factored matrix (re-scanned for R at
-  // collect) and the input screen taken before any task mutated it.
-  MatrixView a;
-  PanelScreen screen;
-  bool monitor = false;
+  PanelScreen screen;  ///< input screen (monitor only)
 };
-
-TaskId caqr_add_task(CaqrJob& job, const std::vector<BlockAccess>& acc,
-                     rt::TaskOptions topts, std::function<void()> fn) {
-  CaqrSubmitCtx& C = *job.ctx;
-  topts.priority = biased_priority(topts.priority, C.opts.priority_bias);
-  const std::vector<TaskId> deps = C.tracker.depends(C.next_id, acc);
-  const TaskId id = job.graph->submit(deps, std::move(topts), std::move(fn));
-  assert(id == C.next_id);
-  ++C.next_id;
-  return id;
-}
 
 // Submit every task of panel iteration k (leaf QR, packs, leaf updates,
 // tree nodes + node updates, pack release). Identical task bodies,
@@ -116,10 +95,8 @@ TaskId caqr_add_task(CaqrJob& job, const std::vector<BlockAccess>& acc,
 // (full-DAG) or throttled (windowed) — only the dep-key indices wrap
 // through the KeyRing, which resolves to the same edges because the
 // previous slot owner has retired.
-void caqr_submit_iteration(CaqrJob& job, idx k) {
-  CaqrSubmitCtx& C = *job.ctx;
+void CaqrAlgo::submit_iteration(idx k) {
   MatrixView a = C.a;
-  const CaqrOptions& opts = C.opts;
   const idx m = C.m;
   const idx n = C.n;
   const idx k_total = C.k_total;
@@ -128,13 +105,6 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
   const idx key_stride = C.key_stride;
   const idx kr = C.ring.slot(k);  // dep-key iteration index
   const LookaheadPriorities& prio = C.prio;
-  CaqrResult& result = job.result;
-  std::vector<std::unique_ptr<IterPacks>>& packs = job.packs;
-  auto add_task = [&job](const std::vector<BlockAccess>& acc,
-                         rt::TaskOptions topts,
-                         std::function<void()> fn) -> TaskId {
-    return caqr_add_task(job, acc, std::move(topts), std::move(fn));
-  };
 
   {
     const idx row0 = k * b;
@@ -173,7 +143,7 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
       topts.priority = prio.panel(k);
       topts.label = "leaf" + std::to_string(i);
       CaqrIterationFactors* Fp = &F;
-      add_task(acc, std::move(topts), [Fp, panel, lstart, lrows, i]() {
+      C.add_task(acc, std::move(topts), [Fp, panel, lstart, lrows, i]() {
         Fp->leaves[static_cast<std::size_t>(i)] = tsqr_leaf_kernel(
             panel.block(lstart, 0, lrows, panel.cols()), lstart);
       });
@@ -217,7 +187,7 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
         topts.label = "pack i" + std::to_string(i);
         CaqrIterationFactors* Fp = &F;
         ConstMatrixView panel_c = panel;
-        add_task(acc, std::move(topts), [P, Fp, panel_c, i]() {
+        C.add_task(acc, std::move(topts), [P, Fp, panel_c, i]() {
           P->leaf[static_cast<std::size_t>(i)] = tsqr_leaf_pack(
               panel_c, Fp->leaves[static_cast<std::size_t>(i)]);
         });
@@ -258,13 +228,13 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
         ConstMatrixView panel_c = panel;
         MatrixView cpart = a.block(row0, jcol0, panel_rows, jcols);
         if (packed) {
-          add_task(acc, std::move(topts), [P, Fp, panel_c, cpart, i]() {
+          C.add_task(acc, std::move(topts), [P, Fp, panel_c, cpart, i]() {
             tsqr_leaf_apply(blas::Trans::Trans, panel_c,
                             Fp->leaves[static_cast<std::size_t>(i)],
                             P->leaf[static_cast<std::size_t>(i)], cpart);
           });
         } else {
-          add_task(acc, std::move(topts), [Fp, panel_c, cpart, i]() {
+          C.add_task(acc, std::move(topts), [Fp, panel_c, cpart, i]() {
             tsqr_leaf_apply(blas::Trans::Trans, panel_c,
                             Fp->leaves[static_cast<std::size_t>(i)], cpart);
           });
@@ -303,8 +273,8 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
         std::vector<idx> starts = src_start;
         const bool structured =
             opts.structured_nodes && starts.size() == 2;
-        add_task(acc, std::move(topts),
-                 [Fp, panel, starts, slot, jb, structured]() {
+        C.add_task(acc, std::move(topts),
+                   [Fp, panel, starts, slot, jb, structured]() {
           if (structured) {
             Fp->nodes[slot] =
                 tsqr_node_kernel_tri(panel, starts[0], starts[1], jb);
@@ -332,7 +302,7 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
         topts.label = "pack l" + std::to_string(step.level);
         CaqrIterationFactors* Fp = &F;
         const std::size_t slot = step_i;
-        add_task(acc, std::move(topts), [P, Fp, slot]() {
+        C.add_task(acc, std::move(topts), [P, Fp, slot]() {
           P->node[slot] = tsqr_node_pack(Fp->nodes[slot]);
         });
       }
@@ -362,12 +332,12 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
         const std::size_t slot = step_i;
         MatrixView cpart = a.block(row0, jcol0, panel_rows, jcols);
         if (node_packed) {
-          add_task(acc, std::move(topts), [P, Fp, cpart, slot]() {
+          C.add_task(acc, std::move(topts), [P, Fp, cpart, slot]() {
             tsqr_node_apply(blas::Trans::Trans, Fp->nodes[slot],
                             P->node[slot], cpart);
           });
         } else {
-          add_task(acc, std::move(topts), [Fp, cpart, slot]() {
+          C.add_task(acc, std::move(topts), [Fp, cpart, slot]() {
             tsqr_node_apply(blas::Trans::Trans, Fp->nodes[slot], cpart);
           });
         }
@@ -391,7 +361,7 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
       topts.iteration = static_cast<int>(k);
       topts.priority = 0;
       topts.label = "packfree";
-      add_task(acc, std::move(topts), [P]() {
+      C.add_task(acc, std::move(topts), [P]() {
         for (auto& vp : P->leaf) vp = lapack::LarfbPackedV();
         for (auto& vp : P->node) vp = lapack::LarfbPackedV();
       });
@@ -399,237 +369,55 @@ void caqr_submit_iteration(CaqrJob& job, idx k) {
   }
 }
 
-// Advance the submission pump until iteration `stop` (exclusive) has been
-// submitted. Windowed mode throttles: iteration k is only submitted after
-// iteration k - window fully retired, and each iteration is sealed as soon
-// as its last task is in (CAQR has no cross-iteration tail like CALU's left
-// swaps, so even the final iteration seals immediately). On cancellation
-// the pump stops submitting — skipped tasks still complete, so the retired
-// prefix stays consistent and wait() reports the CancelledError.
-void caqr_pump(CaqrJob& job, idx stop) {
-  CaqrSubmitCtx& C = *job.ctx;
-  rt::TaskGraph& graph = *job.graph;
-  const idx lim = std::min(stop, C.n_panels);
-  while (C.next_k < lim) {
-    if (C.window > 0) {
-      if (graph.aborted()) return;
-      if (C.next_k > C.window) {
-        graph.wait_retired_iterations(C.next_k - C.window);
-      }
-    }
-    caqr_submit_iteration(job, C.next_k);
-    if (C.window > 0) graph.seal_iterations(C.next_k);
-    ++C.next_k;
-  }
+// Retirement releases the iteration's pack scratch (the packfree task
+// already emptied the slabs; shrink releases the vectors too). The public
+// per-iteration factors in result.iterations ARE the Q factor and are never
+// touched.
+void CaqrAlgo::retire(idx k) {
+  IterPacks& p = *packs[static_cast<std::size_t>(k)];
+  p.leaf.clear();
+  p.leaf.shrink_to_fit();
+  p.node.clear();
+  p.node.shrink_to_fit();
 }
 
-// Set up one factorization's graph + submission context and start the pump:
-// everything with window == 0 (the full DAG, completing here in inline
-// mode), the first `window` iterations otherwise — caqr_collect pumps the
-// rest. Returns immediately in real-thread/attached mode.
-void caqr_submit(MatrixView a, const CaqrOptions& opts, CaqrJob& job) {
-  auto ctx = std::make_unique<CaqrSubmitCtx>();
-  CaqrSubmitCtx& C = *ctx;
-  C.a = a;
-  C.opts = opts;
-  C.m = a.rows();
-  C.n = a.cols();
-  C.k_total = std::min(C.m, C.n);
-  C.b = std::max<idx>(1, std::min(opts.b, C.k_total));
-  C.n_panels = (C.k_total + C.b - 1) / C.b;
-  C.n_blocks = (C.n + C.b - 1) / C.b;
-  C.m_blocks = (C.m + C.b - 1) / C.b;
-  // Leaf/node key stride: partition_panel_rows returns at most
-  // min(tr, m_blocks) leaves (and the reduction schedule has fewer steps
-  // than leaves), so this bound keeps every iteration's keys disjoint for
-  // any user-supplied tr — unbounded tr used to overflow a fixed 8192.
-  C.key_stride = std::max<idx>(1, std::min(opts.tr, C.m_blocks)) + 1;
-  C.window = (opts.window > 0 && C.n_panels > 0) ? opts.window : 0;
-  C.ring.ring = C.window > 0 ? C.window + 2 : 0;
-  // Same banded look-ahead scheme as CALU (see lookahead.hpp): panel path
-  // on top, then the next panel's column updates, then ordinary updates.
-  C.prio = LookaheadPriorities{C.n_panels, C.n_blocks, opts.lookahead};
-
-  CaqrResult& result = job.result;
-  result.m = C.m;
-  result.n = C.n;
-  result.iterations.resize(static_cast<std::size_t>(C.n_panels));
-  job.packs.reserve(static_cast<std::size_t>(C.n_panels));
-
-  // Screen the input on the submission thread, before the first task can
-  // mutate it: the verdict describes the caller's matrix, not intermediate
-  // update state. (Householder QR never falls back, so unlike CALU no
-  // per-panel decision is needed — one whole-matrix scan suffices.)
-  job.a = a;
-  job.monitor = opts.monitor;
-  if (opts.monitor) job.screen = screen_panel(a);
-
-  rt::TaskGraph::Config graph_cfg;
-  graph_cfg.num_threads = opts.num_threads;
-  graph_cfg.record_trace = opts.record_trace;
-  graph_cfg.policy = opts.scheduler;
-  graph_cfg.pool = opts.pool;
-  graph_cfg.cancel = opts.cancel;
-  graph_cfg.fault = opts.fault;
-  graph_cfg.fault_salt = opts.fault_salt;
-  job.graph = std::make_unique<rt::TaskGraph>(graph_cfg);
-  job.ctx = std::move(ctx);
-
-  if (C.window > 0) {
-    job.graph->track_iterations(C.n_panels);
-    // Retirement releases the iteration's pack scratch (the packfree task
-    // already emptied the slabs; shrink releases the vectors too). The
-    // public per-iteration factors in result.iterations ARE the Q factor
-    // and are never touched. Runs on the submission thread
-    // (advance_retired), so pushing new IterPacks concurrently is safe —
-    // same thread.
-    std::vector<std::unique_ptr<IterPacks>>* packs_p = &job.packs;
-    job.graph->set_retire_hook([packs_p](idx k) {
-      IterPacks& p = *(*packs_p)[static_cast<std::size_t>(k)];
-      p.leaf.clear();
-      p.leaf.shrink_to_fit();
-      p.node.clear();
-      p.node.shrink_to_fit();
-    });
-    caqr_pump(job, C.window);
-  } else {
-    caqr_pump(job, C.n_panels);
-  }
-}
-
-// Drain the job's graph and harvest trace/stats/health. The graph is
-// destroyed with the job (its destructor detaches from the pool).
-// `sched_out`, when set, receives the scheduler counters even on the
-// throwing path (see calu_collect).
-CaqrResult caqr_collect(CaqrJob& job, bool record_trace,
-                        rt::SchedulerStats* sched_out) {
-  try {
-    caqr_pump(job, job.ctx->n_panels);
-    job.graph->wait();
-  } catch (...) {
-    if (sched_out != nullptr) *sched_out = job.graph->stats();
-    throw;
-  }
-  if (job.monitor) {
-    HealthReport& health = job.result.health;
-    health.nan_detected = job.screen.nonfinite;
-    // Growth of the triangular factor: max|R| over the upper trapezoid
-    // against the input's absmax. For QR this is bounded by sqrt(n)·||A||
-    // in exact arithmetic, so a large value means the input was already
-    // extreme (badly scaled), not that the factorization misbehaved.
-    double rmax = 0.0;
-    const idx kmax = std::min(job.result.m, job.result.n);
-    for (idx j = 0; j < job.result.n; ++j) {
-      const idx imax = std::min(j + 1, kmax);
-      for (idx i = 0; i < imax; ++i) {
-        const double v = std::abs(job.a(i, j));
-        if (v > rmax) rmax = v;
-      }
+// Growth of the triangular factor: max|R| over the upper trapezoid against
+// the input's absmax. For QR this is bounded by sqrt(n)·||A|| in exact
+// arithmetic, so a large value means the input was already extreme (badly
+// scaled), not that the factorization misbehaved.
+void CaqrAlgo::fold() {
+  if (!opts.monitor) return;
+  HealthReport& health = result.health;
+  health.nan_detected = screen.nonfinite;
+  double rmax = 0.0;
+  const idx kmax = std::min(result.m, result.n);
+  for (idx j = 0; j < result.n; ++j) {
+    const idx imax = std::min(j + 1, kmax);
+    for (idx i = 0; i < imax; ++i) {
+      const double v = std::abs(C.a(i, j));
+      if (v > rmax) rmax = v;
     }
-    health.max_growth =
-        job.screen.absmax > 0.0 ? rmax / job.screen.absmax : 0.0;
   }
-  if (record_trace) {
-    job.result.trace = job.graph->trace();
-    job.result.edges = job.graph->edges();
-  }
-  job.result.sched = job.graph->stats();
-  job.result.mem = job.graph->memory();
-  if (sched_out != nullptr) *sched_out = job.result.sched;
-  return std::move(job.result);
+  health.max_growth = screen.absmax > 0.0 ? rmax / screen.absmax : 0.0;
 }
 
 }  // namespace caqr_impl
 
-using caqr_impl::CaqrJob;
+using CaqrDriver = detail::FactorDriver<caqr_impl::CaqrAlgo>;
 
-struct CaqrAsync::Impl {
-  CaqrJob job;
-  bool record_trace = true;
-  rt::SchedulerStats* sched_out = nullptr;
+template <>
+struct CaqrAsync::Impl : CaqrDriver {
+  using CaqrDriver::CaqrDriver;
 };
-
-CaqrAsync::CaqrAsync(MatrixView a, const CaqrOptions& opts)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->record_trace = opts.record_trace;
-  impl_->sched_out = opts.sched_out;
-  caqr_impl::caqr_submit(a, opts, impl_->job);
-}
-
-// CaqrJob's graph member drains and detaches in its destructor, so dropping
-// an uncollected handle cannot wedge an attached pool.
-CaqrAsync::~CaqrAsync() = default;
-CaqrAsync::CaqrAsync(CaqrAsync&&) noexcept = default;
-CaqrAsync& CaqrAsync::operator=(CaqrAsync&&) noexcept = default;
-
-CaqrResult CaqrAsync::collect() {
-  if (impl_ == nullptr) {
-    throw std::logic_error("CaqrAsync::collect called twice");
-  }
-  const std::unique_ptr<Impl> impl = std::move(impl_);
-  return caqr_impl::caqr_collect(impl->job, impl->record_trace,
-                                 impl->sched_out);
-}
+template class FactorAsync<CaqrOptions, CaqrResult>;
 
 CaqrResult caqr_factor(MatrixView a, const CaqrOptions& opts) {
-  CaqrJob job;
-  caqr_impl::caqr_submit(a, opts, job);
-  return caqr_impl::caqr_collect(job, opts.record_trace, opts.sched_out);
+  return CaqrDriver(a, opts).collect();
 }
 
 std::vector<CaqrResult> caqr_factor_batch(const std::vector<MatrixView>& as,
                                           const CaqrOptions& opts) {
-  std::vector<CaqrResult> out;
-  out.reserve(as.size());
-  // See calu_factor_batch: cancellation yields per-job cancelled results
-  // (completed prefix intact) carrying their run's real skip accounting;
-  // task errors still propagate.
-  std::vector<rt::SchedulerStats> scheds(as.size());
-  if (opts.num_threads == 0 || as.size() <= 1) {
-    for (std::size_t i = 0; i < as.size(); ++i) {
-      CaqrOptions jopts = opts;
-      jopts.sched_out = &scheds[i];
-      try {
-        out.push_back(caqr_factor(as[i], jopts));
-      } catch (const rt::CancelledError&) {
-        CaqrResult r;
-        r.cancelled = true;
-        r.sched = scheds[i];
-        out.push_back(std::move(r));
-      }
-      if (opts.sched_out != nullptr) *opts.sched_out = scheds[i];
-    }
-    return out;
-  }
-  rt::WorkerPool* pool = opts.pool;
-  std::unique_ptr<rt::WorkerPool> owned;
-  if (pool == nullptr) {
-    owned = std::make_unique<rt::WorkerPool>(
-        rt::WorkerPoolConfig{opts.num_threads, false});
-    pool = owned.get();
-  }
-  // Submit every DAG before collecting any: the pool's workers rotate
-  // between the attached graphs, so the whole batch runs concurrently.
-  std::vector<CaqrAsync> jobs;
-  jobs.reserve(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    CaqrOptions jopts = opts;
-    jopts.pool = pool;
-    jopts.sched_out = &scheds[i];
-    jobs.emplace_back(as[i], jopts);
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    try {
-      out.push_back(jobs[i].collect());
-    } catch (const rt::CancelledError&) {
-      CaqrResult r;
-      r.cancelled = true;
-      r.sched = scheds[i];
-      out.push_back(std::move(r));
-    }
-    if (opts.sched_out != nullptr) *opts.sched_out = scheds[i];
-  }
-  return out;
+  return detail::factor_batch<caqr_impl::CaqrAlgo>(as, opts);
 }
 
 void caqr_apply_q(blas::Trans trans, ConstMatrixView a,

@@ -11,63 +11,18 @@
 // replays them.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/options.hpp"
 #include "core/tsqr.hpp"
-#include "runtime/task_graph.hpp"
-#include "runtime/worker_pool.hpp"
 
 namespace camult::core {
 
-struct CaqrOptions {
-  idx b = 100;         ///< panel width (block size)
-  idx tr = 4;          ///< panel task count T_r
-  /// Constant added to every task priority (saturating); the svc layer maps
-  /// QoS classes onto priority bands with it. See CaluOptions::priority_bias.
-  int priority_bias = 0;
+struct CaqrOptions : FactorOptions {
   ReductionTree tree = ReductionTree::Flat;  ///< paper's preferred CAQR tree
-  /// Worker threads; 0 = inline serial (record mode). Defaults to the
-  /// hardware concurrency clamped to [1, 32] — see rt::default_num_threads.
-  int num_threads = rt::default_num_threads();
-  /// Execute on this persistent WorkerPool instead of spawning threads for
-  /// the call (see CaluOptions::pool for the exact semantics).
-  rt::WorkerPool* pool = nullptr;
-  bool lookahead = true;
-  bool record_trace = true;
-  /// Scheduler policy for real-thread mode (see rt::TaskGraph::Policy).
-  rt::TaskGraph::Policy scheduler = rt::TaskGraph::Policy::CentralPriority;
-  /// Structured tpqrt kernels for binary-tree nodes (see TsqrOptions).
-  bool structured_nodes = false;
-  /// Pack each leaf's (and dense node's) reflector V2 once per iteration
-  /// (dedicated pack tasks ordered before the S tasks) and share the
-  /// read-only pack across every trailing column segment, instead of
-  /// letting each larfb gemm repack the same V block. Structured (tpqrt)
+  /// Structured tpqrt kernels for binary-tree nodes (see TsqrOptions). Such
   /// nodes have no larfb-shaped V2 and always run unpacked.
-  bool pack_trailing = true;
-  /// Numerical health monitoring: screen the input for non-finite entries
-  /// before any task mutates it and report max|R| / max|A| as the growth
-  /// factor. Householder QR is unconditionally stable, so unlike CALU
-  /// there is no degradation path — HealthReport::fallback_panels stays 0
-  /// — but a poisoned input is flagged instead of silently propagating.
-  bool monitor = true;
-  /// Cooperative cancellation (see CaluOptions::cancel).
-  rt::CancelToken cancel{};
-  /// Deterministic fault-injection hook (see CaluOptions::fault).
-  rt::FaultInjector* fault = nullptr;
-  /// Fault-decision salt (see CaluOptions::fault_salt).
-  std::uint64_t fault_salt = 0;
-  /// Scheduler counters surviving a throwing run (see
-  /// CaluOptions::sched_out).
-  rt::SchedulerStats* sched_out = nullptr;
-  /// Sliding-window submission: at most `window` panel iterations in
-  /// flight, retired iterations' task-store slabs and pack scratch
-  /// recycled as the factorization streams (see CaluOptions::window — same
-  /// semantics, bitwise-identical results). The per-iteration Q factors in
-  /// CaqrResult::iterations are the output and are never recycled. 0 (the
-  /// default) keeps the full-DAG behaviour.
-  idx window = 0;
+  bool structured_nodes = false;
 };
 
 /// TSQR factors of one panel iteration; row offsets inside `part`, `leaves`
@@ -80,51 +35,21 @@ struct CaqrIterationFactors {
   std::vector<TsqrNode> nodes;
 };
 
-struct CaqrResult {
+/// `health` screens the input for non-finite entries and reports max|R| /
+/// max|A| as the growth factor; Householder QR is unconditionally stable,
+/// so it never falls back. A windowed run never recycles `iterations`.
+struct CaqrResult : FactorResult {
   idx m = 0;
   idx n = 0;
-  /// The run was cancelled before it finished. Only ever set on results
-  /// returned by caqr_factor_batch (see CaluResult::cancelled); the single-
-  /// problem caqr_factor keeps throwing rt::CancelledError.
-  bool cancelled = false;
   std::vector<CaqrIterationFactors> iterations;
-  std::vector<rt::TaskRecord> trace;
-  std::vector<rt::TaskGraph::Edge> edges;
-  /// Scheduler counters for the run (always filled).
-  rt::SchedulerStats sched;
-  /// Numerical health verdict (input screening + R growth; QR never falls
-  /// back). Only populated when CaqrOptions::monitor is set.
-  HealthReport health;
-  /// Task-store / trace memory telemetry (always filled); see
-  /// CaluResult::mem.
-  rt::TaskGraph::MemoryStats mem;
 };
 
 /// Factor A = Q R in place: on exit the upper triangle holds R; the rest
 /// holds leaf reflector tails referenced by the returned factors.
 CaqrResult caqr_factor(MatrixView a, const CaqrOptions& opts = {});
 
-/// An in-flight CAQR factorization — the submit/collect split the batch
-/// driver and the svc job service are built on. Same contract as CaluAsync:
-/// the constructor submits the DAG (all of it with window == 0, the first
-/// `window` iterations otherwise; inline mode runs the submitted prefix in
-/// the constructor), collect() pumps any remaining iterations, blocks for
-/// the result, and may throw exactly like caqr_factor; destruction without
-/// collect() drains and discards.
-class CaqrAsync {
- public:
-  CaqrAsync(MatrixView a, const CaqrOptions& opts);
-  ~CaqrAsync();
-  CaqrAsync(CaqrAsync&&) noexcept;
-  CaqrAsync& operator=(CaqrAsync&&) noexcept;
-
-  CaqrResult collect();
-  bool collected() const { return impl_ == nullptr; }
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
+/// An in-flight CAQR factorization (see FactorAsync).
+using CaqrAsync = FactorAsync<CaqrOptions, CaqrResult>;
 
 /// Factor every matrix in `as` (each in place, independent problems),
 /// submitting all DAGs up front to one WorkerPool — opts.pool if set, else

@@ -31,8 +31,6 @@ WorkerStats& WorkerStats::operator+=(const WorkerStats& o) {
   steal_fails += o.steal_fails;
   inbox_drains += o.inbox_drains;
   wakeups_sent += o.wakeups_sent;
-  wakeups_received += o.wakeups_received;
-  idle_spins += o.idle_spins;
   busy_ns += o.busy_ns;
   idle_ns += o.idle_ns;
   return *this;
@@ -119,45 +117,36 @@ TaskGraph::TaskGraph(const Config& config) : config_(config) {
   if (config_.num_threads < 0) {
     throw std::invalid_argument("TaskGraph: negative thread count");
   }
-  // Inline mode always stays inline (it is the serial record mode); a pool
-  // only takes over when real-thread execution was requested.
-  pool_ = (config_.num_threads != 0) ? config_.pool : nullptr;
+  // Inline mode always stays inline (it is the serial record mode); real
+  // threads are always a pool's — the caller's, or one private to this
+  // graph.
+  if (config_.num_threads != 0) {
+    pool_ = config_.pool;
+    if (pool_ == nullptr) {
+      owned_pool_ = std::make_unique<WorkerPool>(
+          WorkerPoolConfig{config_.num_threads, false});
+      pool_ = owned_pool_.get();
+    }
+  }
   fault_ = config_.fault != nullptr ? config_.fault : FaultInjector::from_env();
   epoch_ = std::chrono::steady_clock::now();
-  exec_width_ = pool_ ? pool_->size() : std::max(config_.num_threads, 1);
+  exec_width_ = pool_ ? pool_->size() : 1;
   const auto n_workers = static_cast<std::size_t>(exec_width_);
   local_ready_.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
     local_ready_.push_back(std::make_unique<WorkerDeque>());
   }
   counters_.reset(new Counters[n_workers]);
-  if (pool_ != nullptr) {
-    pool_->attach(this);
-    return;
-  }
-  workers_.reserve(static_cast<std::size_t>(config_.num_threads));
-  for (int t = 0; t < config_.num_threads; ++t) {
-    workers_.emplace_back([this, t] { worker_loop(t); });
-  }
+  if (pool_ != nullptr) pool_->attach(this);
 }
 
 TaskGraph::~TaskGraph() {
-  if (pool_ != nullptr) {
-    // Detach drains every pending task (the same guarantee owned mode
-    // gives via its worker shutdown protocol) and then waits until no pool
-    // worker is still inside this graph's structures.
-    pool_->detach(this);
-    return;
-  }
-  // Publish shutdown under the sleep mutex so no worker can check the flag,
-  // miss it, and then sleep through the broadcast. Workers only exit once a
-  // refill finds everything drained, so pending tasks still run.
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  idle_cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  if (pool_ == nullptr) return;
+  // Detach drains every pending task and then waits until no pool worker is
+  // still inside this graph's structures. Only then may a private pool go:
+  // its workers were the last threads that could touch the graph.
+  pool_->detach(this);
+  owned_pool_.reset();
 }
 
 TaskId TaskGraph::submit(const std::vector<TaskId>& deps, TaskOptions opts,
@@ -286,39 +275,22 @@ void TaskGraph::dispatch_ready(const TaskId* ready, int n, int worker_hint) {
   // Wake only if someone may be sleeping, and only when no notify is
   // already in flight: the woken worker re-arms the next wake itself when
   // its refill still sees a backlog (relay wakeup), so a push burst costs
-  // one futex wake, not one per task. If a worker's final pre-sleep scan
-  // missed this push, its sleepers_ increment happened-before the load in
-  // maybe_wake_sleeper (both sides bracket the same queue mutex), so a
-  // stale zero cannot be read there.
+  // one futex wake, not one per task. If a pool worker's final pre-park
+  // scan (has_ready_work) missed this push, its sleeper count increment
+  // happened-before the load in WorkerPool::try_wake_one (both sides
+  // bracket the same queue mutex), so a stale zero cannot be read there.
   maybe_wake_sleeper(worker_hint);
 }
 
 void TaskGraph::maybe_wake_sleeper(int caller) {
-  bool wake = false;
-  if (pool_ != nullptr) {
-    // Attached mode: the sleepers are the pool's, so the relay-wake
-    // bookkeeping lives there; only the counter attribution stays here.
-    wake = pool_->try_wake_one();
+  // The sleepers are the pool's, so the relay-wake bookkeeping lives there;
+  // only the counter attribution stays here.
+  if (!pool_->try_wake_one()) return;
+  if (caller >= 0) {
+    bump(counters_[static_cast<std::size_t>(caller) % local_ready_.size()]
+             .wakeups_sent);
   } else {
-    if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-    {
-      // The worker's whole sleep handshake runs under idle_mu_, so this
-      // cannot interleave with a half-asleep worker.
-      std::lock_guard<std::mutex> lock(idle_mu_);
-      if (idle_wakes_ == 0 && sleepers_.load(std::memory_order_relaxed) > 0) {
-        ++idle_wakes_;
-        wake = true;
-      }
-    }
-  }
-  if (wake) {
-    if (caller >= 0) {
-      bump(counters_[static_cast<std::size_t>(caller) % local_ready_.size()]
-               .wakeups_sent);
-    } else {
-      bump(submit_wakeups_);
-    }
-    if (pool_ == nullptr) idle_cv_.notify_one();
+    bump(submit_wakeups_);
   }
 }
 
@@ -337,9 +309,8 @@ void TaskGraph::run_task(TaskId id, int worker_id, bool inline_mode) {
   std::chrono::steady_clock::time_point t0;
   if (config_.record_trace) t0 = std::chrono::steady_clock::now();
   // Heartbeat: publish "worker_id is inside task `id` of run `tag`" for the
-  // stall watchdog. Pool mode only — owned/inline runs have no monitor and
-  // no per-worker liveness slots.
-  const bool hb = pool_ != nullptr && !inline_mode && !skip;
+  // stall watchdog. Inline runs have no pool and so no liveness slots.
+  const bool hb = !inline_mode && !skip;
   if (hb) pool_->heartbeat_begin(worker_id, config_.cancel.id(), id);
   if (!skip) {
     try {
@@ -523,64 +494,6 @@ bool TaskGraph::try_fill_central(int worker_id, std::vector<TaskId>& batch,
   bump(cnt.local_pops, static_cast<std::int64_t>(take));
   *backlog = ready_count_ > 0;
   return true;
-}
-
-void TaskGraph::worker_loop(int worker_id) {
-  const bool stealing = config_.policy == Policy::WorkStealing;
-  Counters& cnt = counters_[static_cast<std::size_t>(worker_id)];
-  std::vector<TaskId> scratch;  // recycled inbox-drain buffer
-  auto fill = [&](std::vector<TaskId>& batch, bool* backlog) {
-    return stealing ? try_fill_stealing(worker_id, batch, scratch, backlog)
-                    : try_fill_central(worker_id, batch, scratch, backlog);
-  };
-  std::vector<TaskId> batch;  // consumed front-to-back
-  batch.reserve(kMaxBatch);
-  std::size_t cursor = 0;
-  for (;;) {
-    if (cursor == batch.size()) {
-      batch.clear();
-      cursor = 0;
-      bool backlog = false;
-      bool filled = fill(batch, &backlog);
-      // Back off with yields before the futex sleep: a worker that merely
-      // caught up with the producer hands the CPU over for whole scheduler
-      // slices instead of entering a sleep/wake-preemption cycle that
-      // resumes it after a handful of tasks (pathological when producer
-      // and workers share cores). Persistent idleness still reaches the
-      // condition variable below.
-      for (int spin = 0; spin < 4 && !filled; ++spin) {
-        std::this_thread::yield();
-        bump(cnt.idle_spins);
-        filled = fill(batch, &backlog);
-      }
-      if (!filled) {
-        const auto idle0 = std::chrono::steady_clock::now();
-        std::unique_lock<std::mutex> lock(idle_mu_);
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        // Re-scan while counted as a sleeper: any push this scan misses
-        // is guaranteed to see sleepers_ > 0 and take idle_mu_ to wake us.
-        bool got = fill(batch, &backlog);
-        while (!got && !shutdown_.load(std::memory_order_acquire)) {
-          idle_cv_.wait(lock);
-          if (idle_wakes_ > 0) {  // consume our notify
-            --idle_wakes_;
-            bump(cnt.wakeups_received);
-          }
-          got = fill(batch, &backlog);
-        }
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-        bump(cnt.idle_ns,
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now() - idle0)
-                 .count());
-        if (!got) return;  // shutdown and everything drained
-      }
-      // Relay: the source we refilled from still holds work, so re-arm the
-      // next wake before running (ramp-up propagates worker-to-worker).
-      if (backlog) maybe_wake_sleeper(worker_id);
-    }
-    run_task(batch[cursor++], worker_id);
-  }
 }
 
 bool TaskGraph::pool_service(int worker_id) {
@@ -848,10 +761,7 @@ SchedulerStats TaskGraph::stats() const {
     out.steal_fails = c.steal_fails.load(std::memory_order_relaxed);
     out.inbox_drains = c.inbox_drains.load(std::memory_order_relaxed);
     out.wakeups_sent = c.wakeups_sent.load(std::memory_order_relaxed);
-    out.wakeups_received = c.wakeups_received.load(std::memory_order_relaxed);
-    out.idle_spins = c.idle_spins.load(std::memory_order_relaxed);
     out.busy_ns = c.busy_ns.load(std::memory_order_relaxed);
-    out.idle_ns = c.idle_ns.load(std::memory_order_relaxed);
   }
   s.submit_wakeups = submit_wakeups_.load(std::memory_order_relaxed);
   return s;

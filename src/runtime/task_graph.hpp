@@ -6,7 +6,10 @@
 // them highest-priority-first. Priorities implement the look-ahead policy.
 //
 // Modes:
-//  * num_threads >= 1 — real std::thread workers.
+//  * num_threads >= 1 — real worker threads. Execution always goes through
+//    a WorkerPool: Config::pool when the caller supplies one, else a
+//    private pool of num_threads workers that the graph creates, attaches
+//    to, and destroys after detaching.
 //  * num_threads == 0 — inline: each task runs immediately on the submitting
 //    thread (submission order must be a topological order, which holds for
 //    all algorithms in this library). This is the serial record mode used to
@@ -29,10 +32,11 @@
 //  * Policy::CentralPriority keeps one priority queue under its own mutex,
 //    touched only by workers; Policy::WorkStealing keeps per-worker deques,
 //    each under its own small mutex (LIFO self-pop, FIFO steal).
-//  * Wakeups are relayed, not broadcast: a push notifies one sleeper only
-//    when no notify is already in flight, and the woken worker re-arms the
-//    next wake if its refill leaves a backlog — a burst of pushes costs one
-//    futex wake, and the common all-busy case costs none.
+//  * Wakeups are relayed, not broadcast: a push asks the pool to wake one
+//    parked worker only when no wake is already in flight, and the woken
+//    worker re-arms the next wake if its refill leaves a backlog — a burst
+//    of pushes costs one futex wake, and the common all-busy case costs
+//    none.
 //
 // After wait(), the executed trace and the dependency edges can be exported.
 // trace()/edges() are valid after wait() returns; submit() must be called
@@ -60,7 +64,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "runtime/cancel.hpp"
@@ -74,7 +77,7 @@ class WorkerPool;
 /// Per-worker scheduler counters, snapshotted by TaskGraph::stats().
 /// busy_ns is only accumulated when Config::record_trace is set (it reuses
 /// the trace timestamps; the counter-only path stays clock-free on the hot
-/// path). idle_ns covers time blocked in the sleep/wake handshake.
+/// path).
 struct WorkerStats {
   std::int64_t tasks_executed = 0;
   std::int64_t tasks_skipped = 0;  ///< bodies not run (fast-abort / cancel)
@@ -84,10 +87,10 @@ struct WorkerStats {
   std::int64_t steal_fails = 0;   ///< victim probes that found nothing
   std::int64_t inbox_drains = 0;  ///< inbox swaps that yielded >= 1 task
   std::int64_t wakeups_sent = 0;  ///< relay notifies issued by this worker
-  std::int64_t wakeups_received = 0;  ///< notifies consumed after a sleep
-  std::int64_t idle_spins = 0;    ///< yield-backoff iterations before sleep
   std::int64_t busy_ns = 0;       ///< inside task bodies (record_trace only)
-  std::int64_t idle_ns = 0;       ///< blocked in the sleep/wake handshake
+  /// Always 0: every threaded run executes on a WorkerPool, which does not
+  /// time its parks. The pool counts them in WorkerPoolStats::parks.
+  std::int64_t idle_ns = 0;
 
   WorkerStats& operator+=(const WorkerStats& o);
 };
@@ -117,11 +120,12 @@ class TaskGraph {
     int num_threads = 1;  ///< 0 = inline serial mode
     bool record_trace = true;
     Policy policy = Policy::CentralPriority;
-    /// Attach to a persistent WorkerPool instead of spawning owned
-    /// threads: the pool's workers execute this graph (execution width =
-    /// pool->size(); num_threads is only consulted for the 0 = inline
-    /// case, which always stays inline). The pool must outlive the graph;
-    /// the graph's destructor drains pending tasks and detaches.
+    /// Attach to this persistent WorkerPool: its workers execute the graph
+    /// (execution width = pool->size(); num_threads is only consulted for
+    /// the 0 = inline case, which always stays inline). The pool must
+    /// outlive the graph; the graph's destructor drains pending tasks and
+    /// detaches. nullptr = a private pool of num_threads workers for this
+    /// graph alone.
     WorkerPool* pool = nullptr;
     /// Cooperative cancellation handle (see cancel.hpp). Copy the token
     /// before constructing the graph and call request_cancel() from any
@@ -194,12 +198,12 @@ class TaskGraph {
 
   int num_threads() const { return config_.num_threads; }
 
-  /// Worker slots actually executing this graph: the pool size in attached
-  /// mode, max(num_threads, 1) otherwise (inline mode accounts everything
-  /// to slot 0).
+  /// Worker slots actually executing this graph: the pool size in threaded
+  /// mode, 1 in inline mode (which accounts everything to slot 0).
   int execution_width() const { return exec_width_; }
 
-  /// Non-null when the graph is attached to a persistent pool.
+  /// The pool executing this graph (the caller's, or the private one);
+  /// nullptr in inline mode.
   WorkerPool* pool() const { return pool_; }
 
   /// Executed tasks, sorted by id. Valid after wait(). Records are only
@@ -354,10 +358,7 @@ class TaskGraph {
     std::atomic<std::int64_t> steal_fails{0};
     std::atomic<std::int64_t> inbox_drains{0};
     std::atomic<std::int64_t> wakeups_sent{0};
-    std::atomic<std::int64_t> wakeups_received{0};
-    std::atomic<std::int64_t> idle_spins{0};
     std::atomic<std::int64_t> busy_ns{0};
-    std::atomic<std::int64_t> idle_ns{0};
   };
   static void bump(std::atomic<std::int64_t>& c, std::int64_t v = 1) {
     c.store(c.load(std::memory_order_relaxed) + v,
@@ -396,7 +397,6 @@ class TaskGraph {
   /// only. Returns the new watermark.
   idx advance_retired();
 
-  void worker_loop(int worker_id);
   /// Pool-worker entry point: run up to kServiceRounds batches of ready
   /// tasks as pool worker `worker_id`. Returns whether at least one task
   /// ran. Bounded so a worker revisits the pool between slices (control
@@ -415,9 +415,9 @@ class TaskGraph {
   /// the submission thread": the tasks are staged in the inbox so the
   /// submitter never contends on the worker-side queue locks.
   void dispatch_ready(const TaskId* ready, int n, int worker_hint);
-  /// Issue a single relay wake to a sleeping worker if none is in flight.
-  /// `caller` is the worker issuing the wake, or -1 for the submitter
-  /// (counter attribution only).
+  /// Ask the pool for a single relay wake of a parked worker if none is in
+  /// flight. `caller` is the worker issuing the wake, or -1 for the
+  /// submitter (counter attribution only).
   void maybe_wake_sleeper(int caller);
   /// Refill `batch` for `worker_id` (LIFO own deque — adopting the staged
   /// inbox when the deque is empty — then FIFO steal), taking up to half
@@ -445,7 +445,10 @@ class TaskGraph {
   static constexpr int kServiceRounds = 8;
 
   Config config_;
-  WorkerPool* pool_ = nullptr;  ///< non-null = attached mode
+  /// Private pool when Config::pool is null in threaded mode. Destroyed by
+  /// ~TaskGraph only after the graph detached from it.
+  std::unique_ptr<WorkerPool> owned_pool_;
+  WorkerPool* pool_ = nullptr;  ///< executing pool; null = inline mode
   int exec_width_ = 1;          ///< worker slots (see execution_width())
   /// Pool workers currently inside pool_service (incremented under the
   /// pool's registry lock, so detach's unregister-then-drain is race-free).
@@ -458,7 +461,6 @@ class TaskGraph {
   /// they agree (Dekker pair with done_waiting_).
   std::atomic<idx> submitted_{0};
   std::atomic<idx> completed_{0};
-  std::atomic<bool> shutdown_{false};
   /// Set by the first task error when Config::abort_on_error: remaining
   /// bodies are skipped (they still resolve successors and complete).
   std::atomic<bool> abort_{false};
@@ -490,12 +492,6 @@ class TaskGraph {
   std::unique_ptr<Counters[]> counters_;
   std::atomic<std::int64_t> submit_wakeups_{0};
 
-  // --- Sleep/wake handshake, shared by both policies.
-  std::mutex idle_mu_;             ///< serializes the sleep/wake handshake
-  std::condition_variable idle_cv_;
-  std::atomic<int> sleepers_{0};   ///< workers inside the idle_mu_ section
-  int idle_wakes_ = 0;             ///< in-flight notifies, guarded by idle_mu_
-
   // --- Completion signalling for wait().
   std::mutex done_mu_;
   std::condition_variable done_cv_;
@@ -516,7 +512,6 @@ class TaskGraph {
   std::vector<TaskRecord> harvested_trace_;
   std::exception_ptr harvested_error_;
 
-  std::vector<std::thread> workers_;
   std::chrono::steady_clock::time_point epoch_;
 };
 

@@ -1,11 +1,11 @@
 // worker_pool.hpp — a persistent, reusable pool of worker threads.
 //
 // The paper's runtime model (and the PLASMA baseline it compares against)
-// keeps ONE long-lived set of workers for the whole process; TaskGraph used
-// to spawn its own std::threads per factorization call and join them at
-// wait(), so repeated or small-problem workloads paid thread create/teardown
-// (plus cold futex sleep/wake and re-warmed thread_local slab pools) on
-// every call. A WorkerPool amortizes all of that:
+// keeps ONE long-lived set of workers for the whole process. A TaskGraph
+// given no pool creates a private one per call, so repeated or
+// small-problem workloads pay thread create/teardown (plus cold futex
+// sleep/wake and re-warmed thread_local slab pools) on every call. A
+// WorkerPool shared across calls amortizes all of that:
 //
 //  * Spawn once. Workers are created in the pool constructor and park on a
 //    condition variable whenever no attached graph has ready work; attaching
@@ -170,8 +170,8 @@ class WorkerPool {
   mutable std::mutex clients_mu_;
   std::vector<TaskGraph*> clients_;
 
-  // Sleep/wake handshake: same relay scheme as TaskGraph's owned mode (one
-  // in-flight notify, re-armed by the woken worker when a backlog remains).
+  // Sleep/wake handshake: relay wakes (at most one in-flight notify,
+  // re-armed by the woken worker when a backlog remains).
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
   std::atomic<int> sleepers_{0};

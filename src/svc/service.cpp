@@ -818,50 +818,41 @@ void Service::run_job(const std::shared_ptr<JobRecord>& rec) {
   JobOutcome out;
   bool transient = false;
   try {
+    core::FactorOptions o;
+    o.b = rec->b;
+    o.tr = rec->tr;
+    o.window = rec->window;
+    o.pool = pool_;
+    o.num_threads = pool_->size();
+    o.record_trace = cfg_.record_trace;
+    o.monitor = cfg_.monitor;
+    o.cancel = attempt_token;
+    o.sched_out = &sched;
+    o.fault = rec->fault;
+    // Attempt 1 runs salt 0 (the unsalted stream, so a first attempt is
+    // bitwise a direct driver call); each retry draws an independent fault
+    // stream.
+    o.fault_salt = static_cast<std::uint64_t>(prior_attempts);
+    o.priority_bias = qos_priority_bias(rec->qos);
     if (rec->kind == JobKind::CaluFactor) {
-      core::CaluOptions o;
-      o.b = rec->b;
-      o.tr = rec->tr;
-      o.window = rec->window;
-      o.pool = pool_;
-      o.num_threads = pool_->size();
-      o.record_trace = cfg_.record_trace;
-      o.monitor = cfg_.monitor;
-      o.cancel = attempt_token;
-      o.sched_out = &sched;
-      o.fault = rec->fault;
-      // Attempt 1 runs salt 0 (the unsalted stream: fault-free configs are
-      // bitwise PR 7); each retry draws an independent fault stream.
-      o.fault_salt = static_cast<std::uint64_t>(prior_attempts);
-      o.priority_bias = qos_priority_bias(rec->qos);
-      core::CaluAsync async(rec->a, o);
-      auto res = std::make_shared<core::CaluResult>(async.collect());
-      out.status = JobStatus::Completed;
+      core::CaluOptions lo;
+      static_cast<core::FactorOptions&>(lo) = o;
+      auto res =
+          std::make_shared<core::CaluResult>(core::calu_factor(rec->a, lo));
       out.info = res->info;
       out.health = res->health;
       out.sched = res->sched;
       out.lu = std::move(res);
     } else {
-      core::CaqrOptions o;
-      o.b = rec->b;
-      o.tr = rec->tr;
-      o.window = rec->window;
-      o.pool = pool_;
-      o.num_threads = pool_->size();
-      o.record_trace = cfg_.record_trace;
-      o.monitor = cfg_.monitor;
-      o.cancel = attempt_token;
-      o.sched_out = &sched;
-      o.fault = rec->fault;
-      o.fault_salt = static_cast<std::uint64_t>(prior_attempts);
-      o.priority_bias = qos_priority_bias(rec->qos);
-      core::CaqrAsync async(rec->a, o);
-      auto res = std::make_shared<core::CaqrResult>(async.collect());
-      out.status = JobStatus::Completed;
+      core::CaqrOptions qo;
+      static_cast<core::FactorOptions&>(qo) = o;
+      auto res =
+          std::make_shared<core::CaqrResult>(core::caqr_factor(rec->a, qo));
       out.health = res->health;
       out.sched = res->sched;
       out.qr = std::move(res);
     }
+    out.status = JobStatus::Completed;
   } catch (const rt::InjectedFault& e) {
     out.status = JobStatus::Failed;
     out.error = e.what();

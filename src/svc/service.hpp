@@ -38,11 +38,11 @@
 //    (bench/service_resilience.cpp).
 //
 // Threading model: submit() and JobHandle methods are thread-safe.
-// max_inflight dispatcher ("runner") threads each pop one job, submit its
-// DAG to the shared pool (core::CaluAsync / core::CaqrAsync) and block
-// collecting it, so at most max_inflight graphs are attached at once. The
-// matrix referenced by a JobRequest must stay alive and untouched until the
-// job's terminal state is observed.
+// max_inflight dispatcher ("runner") threads each pop one job and run it
+// with core::calu_factor / core::caqr_factor on the shared pool, so at most
+// max_inflight graphs are attached at once. The matrix referenced by a
+// JobRequest must stay alive and untouched until the job's terminal state
+// is observed.
 #pragma once
 
 #include <array>

@@ -1,7 +1,7 @@
 // test_fault_inject.cpp — the failure-aware runtime: deterministic fault
 // injection (FaultInjector), cooperative cancellation (CancelToken), the
 // fast-abort drain contract, and the CALU/CAQR drivers under injected
-// failures in both owned-thread and WorkerPool modes.
+// failures on both private and shared WorkerPools.
 //
 // The stress tests here are the PR's acceptance harness: hundreds of seeded
 // factorizations at a 1% per-task throw rate must all drain cleanly, rethrow
@@ -472,7 +472,7 @@ TEST(FaultedPool, AbortedGraphDoesNotWedgeSiblingsOrPoisonThePool) {
 // ---- Driver-level stress: CALU / CAQR under a 1% throw rate -------------
 //
 // The acceptance sweep: >= 200 seeded runs split across CALU/CAQR and
-// owned-thread/pool modes. Every run must either complete or rethrow
+// private-pool/shared-pool runs. Every run must either complete or rethrow
 // InjectedFault from the driver after a clean drain; a shared pool must
 // stay usable across (and after) the failures.
 

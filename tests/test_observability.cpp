@@ -93,11 +93,11 @@ TEST(SchedulerStats, TotalsSumAcrossWorkersAndFoldSubmitWakeups) {
   s.workers[0].tasks_executed = 3;
   s.workers[0].wakeups_sent = 1;
   s.workers[1].tasks_executed = 4;
-  s.workers[1].idle_spins = 7;
+  s.workers[1].steals = 7;
   s.submit_wakeups = 5;
   const rt::WorkerStats t = s.totals();
   EXPECT_EQ(t.tasks_executed, 7);
-  EXPECT_EQ(t.idle_spins, 7);
+  EXPECT_EQ(t.steals, 7);
   EXPECT_EQ(t.wakeups_sent, 6);  // worker relays + submission-side wakeups
 }
 

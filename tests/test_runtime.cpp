@@ -138,11 +138,16 @@ TEST(TaskGraph, PriorityOrderWithSingleThread) {
   TaskGraph g1({1, true});
   std::vector<int> order;
   std::mutex mu;
-  // Block the worker with a gate task so the queue fills up.
+  // Block the worker with a gate task so the queue fills up. Submit the
+  // rest only once the gate is running: a worker still waking up could
+  // otherwise take the gate in one refill batch with some of them.
   std::atomic<bool> gate{false};
+  std::atomic<bool> started{false};
   g1.submit({}, {}, [&] {
+    started = true;
     while (!gate) std::this_thread::yield();
   });
+  while (!started) std::this_thread::yield();
   auto log = [&](int v) {
     std::lock_guard<std::mutex> lock(mu);
     order.push_back(v);

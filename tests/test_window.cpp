@@ -2,7 +2,7 @@
 // CaqrOptions::window) and the overflow-guard sweep that rode along with it:
 //
 //  * bitwise parity: windowed CALU/CAQR must equal the full-DAG run exactly
-//    (both reduction trees, owned threads, a shared WorkerPool, inline
+//    (both reduction trees, a private pool, a shared WorkerPool, inline
 //    record mode, and the adversarial input ensembles);
 //  * memory: windowed runs recycle task-store slabs and their peak stays
 //    flat as m grows at fixed window, while the full DAG's grows;

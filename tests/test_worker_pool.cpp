@@ -3,14 +3,17 @@
 // Covers the attach/detach protocol (graphs draining on destruction, many
 // sequential runs on one pool), concurrent independent DAGs sharing one
 // pool with no stats cross-talk, bitwise-identical CALU/CAQR results
-// between owned-threads and attached-pool modes, the factorize-batch
-// drivers, run_on_all_workers, thread-local slab-pool persistence across
-// runs (the property the persistent pool exists to restore), CPU pinning,
-// and exception propagation through an attached graph's wait().
+// between private-pool (no caller pool) and caller-pool runs, private-pool
+// heartbeats, the factorize-batch drivers, run_on_all_workers,
+// thread-local slab-pool persistence across runs (the property the
+// persistent pool exists to restore), CPU pinning, and exception
+// propagation through an attached graph's wait().
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -68,7 +71,7 @@ TEST(WorkerPool, DestructorDrainsWithoutWait) {
     rt::TaskGraph g(attached(pool));
     for (int i = 0; i < 100; ++i) g.submit({}, {}, [&count] { ++count; });
     // No wait(): the destructor must drain every pending task through the
-    // pool before detaching, like owned mode's join-at-destruction.
+    // pool before detaching, so no submitted work is ever dropped.
   }
   EXPECT_EQ(count.load(), 100);
 }
@@ -241,6 +244,36 @@ TEST(WorkerPool, InlineModeIgnoresPool) {
   EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
+// A threaded graph given no pool runs on a private one, so a task body
+// stuck in a kernel is visible to a stall monitor through that pool's
+// heartbeats exactly as on a caller's pool.
+TEST(WorkerPool, PrivatePoolPublishesHeartbeats) {
+  rt::TaskGraph::Config cfg;
+  cfg.num_threads = 2;
+  cfg.record_trace = false;
+  rt::TaskGraph g(cfg);
+  rt::WorkerPool* pool = g.pool();
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size(), 2);
+  EXPECT_EQ(g.execution_width(), 2);
+  std::latch release(1);
+  const rt::TaskId id = g.submit({}, {}, [&release] { release.wait(); });
+  bool seen = false;
+  for (int poll = 0; poll < 20000 && !seen; ++poll) {
+    for (int w = 0; w < pool->size(); ++w) {
+      rt::HeartbeatSnapshot hb;
+      if (pool->read_heartbeat(w, &hb) && hb.busy && hb.task == id &&
+          hb.tag == cfg.cancel.id()) {
+        seen = true;
+      }
+    }
+    if (!seen) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  release.count_down();
+  g.wait();
+  EXPECT_TRUE(seen);
+}
+
 TEST(WorkerPool, PinnedSmoke) {
   rt::WorkerPool pool(rt::WorkerPoolConfig{2, true});
   const rt::WorkerPoolStats st = pool.stats();
@@ -316,7 +349,7 @@ TEST(WorkerPool, CaluSlabReuseAcrossCalls) {
   EXPECT_EQ(s2.allocs, s1.allocs);
 }
 
-// --- Bitwise equivalence of owned-threads vs attached-pool execution -----
+// --- Bitwise equivalence of private-pool vs caller-pool execution -------
 
 bool bitwise_equal(ConstMatrixView x, ConstMatrixView y) {
   if (x.rows() != y.rows() || x.cols() != y.cols()) return false;

@@ -1,6 +1,9 @@
 #!/usr/bin/env sh
 # Build the runtime tests under ThreadSanitizer and run the scheduler's
-# concurrency surface: test_runtime (API + wakeup paths),
+# concurrency surface. Every threaded run executes on a WorkerPool — the
+# caller's, or a graph's private pool, which the graph destroys only after
+# detaching from it — so every suite below also exercises that lifetime
+# edge. test_runtime (API + wakeup paths),
 # test_scheduler_stress (randomized DAGs, submission racing execution,
 # both policies, 1-8 threads), test_observability (the per-worker
 # counter instrumentation: single-writer slots racing the stats() reader,
