@@ -50,21 +50,28 @@ void BM_gemm_panel_shape(benchmark::State& state) {
 BENCHMARK(BM_gemm_panel_shape)->Arg(1000)->Arg(4000)->Arg(16000);
 
 void BM_trsm(benchmark::State& state) {
-  const idx n = state.range(0), b = 100;
+  // CALU L-task shape: X * U_KK = B for an n x b block of a leaf.
+  const idx n = state.range(0), b = state.range(1);
   Matrix a = random_matrix(b, b, 6);
   for (idx i = 0; i < b; ++i) a(i, i) += 4.0;
   Matrix rhs = random_matrix(n, b, 7);
+  Matrix w(n, b);
   for (auto _ : state) {
-    Matrix w = rhs;
+    state.PauseTiming();
+    copy_into(rhs.view(), w.view());
+    state.ResumeTiming();
     blas::trsm(blas::Side::Right, blas::Uplo::Upper, blas::Trans::NoTrans,
                blas::Diag::NonUnit, 1.0, a, w.view());
     benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
   }
   state.counters["GFlop/s"] = benchmark::Counter(
       static_cast<double>(n) * b * b * state.iterations() * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_trsm)->Arg(1000)->Arg(4000);
+// {rows, b}: square-ish trailing shapes, then the tall_skinny workload's
+// L task (a 25000-row leaf of a b = 50 panel).
+BENCHMARK(BM_trsm)->Args({1000, 100})->Args({4000, 100})->Args({25000, 50});
 
 void BM_larfb(benchmark::State& state) {
   // CAQR leaf update shape: block reflector (m x b) applied to (m x b).

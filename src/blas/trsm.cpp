@@ -13,31 +13,70 @@ namespace {
 
 // Recursion base tied to the dispatched kernel's register tile: the gemm
 // halves above the base need at least a couple of MR-row tiles to amortize
-// packing, so a wider kernel (AVX-512, MR=16) raises the trsv cutoff.
+// packing, so a wider kernel (AVX-512, MR=16) raises the base-case cutoff.
 idx base_size() { return std::max<idx>(32, 2 * active_kernel().blocking.mr); }
 
-inline Trans flip(Trans t) {
-  return t == Trans::NoTrans ? Trans::Trans : Trans::NoTrans;
+// Right-side base case, X * op(A) = alpha * B, one row strip at a time.
+// Column j of the strip takes the already solved columns i of op(A)'s
+// off-diagonal half in its column j:
+//   x_j = (alpha * b_j - sum_i x_i * op(A)(i, j)) / op(A)(j, j),
+// forward over j when op(A) is upper triangular, backward when it is lower.
+// Every update is a contiguous axpy down the strip (four solved columns per
+// pass, so x_j is loaded and stored once per four), which vectorizes; only
+// the triangle op(A) references is read.
+void trsm_right_base(Uplo uplo, Trans trans, Diag diag, double alpha,
+                     ConstMatrixView a, MatrixView b) {
+  const idx n = a.rows();
+  const bool forward = (uplo == Uplo::Upper) == (trans == Trans::NoTrans);
+  auto op_a = [&](idx i, idx j) {
+    return trans == Trans::NoTrans ? a(i, j) : a(j, i);
+  };
+  for (idx r0 = 0; r0 < b.rows(); r0 += kTrsmStripRows) {
+    const idx rows = std::min(kTrsmStripRows, b.rows() - r0);
+    for (idx s = 0; s < n; ++s) {
+      const idx j = forward ? s : n - 1 - s;
+      const idx i_end = forward ? j : n;
+      double* __restrict xj = b.col_ptr(j) + r0;
+      if (alpha != 1.0) {
+        for (idx r = 0; r < rows; ++r) xj[r] *= alpha;
+      }
+      idx i = forward ? 0 : j + 1;
+      for (; i + 4 <= i_end; i += 4) {
+        const double t0 = op_a(i, j), t1 = op_a(i + 1, j);
+        const double t2 = op_a(i + 2, j), t3 = op_a(i + 3, j);
+        const double* __restrict x0 = b.col_ptr(i) + r0;
+        const double* __restrict x1 = b.col_ptr(i + 1) + r0;
+        const double* __restrict x2 = b.col_ptr(i + 2) + r0;
+        const double* __restrict x3 = b.col_ptr(i + 3) + r0;
+        for (idx r = 0; r < rows; ++r) {
+          xj[r] = xj[r] - t0 * x0[r] - t1 * x1[r] - t2 * x2[r] - t3 * x3[r];
+        }
+      }
+      for (; i < i_end; ++i) {
+        const double t = op_a(i, j);
+        const double* __restrict xi = b.col_ptr(i) + r0;
+        for (idx r = 0; r < rows; ++r) xj[r] -= t * xi[r];
+      }
+      if (diag == Diag::NonUnit) {
+        const double d = op_a(j, j);
+        for (idx r = 0; r < rows; ++r) xj[r] /= d;
+      }
+    }
+  }
 }
 
-void scale_all(MatrixView b, double alpha) {
-  if (alpha == 1.0) return;
-  for (idx j = 0; j < b.cols(); ++j) scal(b.rows(), alpha, b.col_ptr(j), 1);
-}
-
-// Base case: solve column-by-column (Left) or row-by-row (Right) with trsv.
+// Base case: column-by-column trsv on the left, row strips on the right.
 void trsm_base(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
                ConstMatrixView a, MatrixView b) {
-  scale_all(b, alpha);
-  if (side == Side::Left) {
-    for (idx j = 0; j < b.cols(); ++j) {
-      trsv(uplo, trans, diag, a, b.col_ptr(j), 1);
-    }
-  } else {
-    // X * op(A) = B  <=>  op(A)^T * X^T = B^T: solve each row of B.
-    for (idx i = 0; i < b.rows(); ++i) {
-      trsv(uplo, flip(trans), diag, a, b.data() + i, b.ld());
-    }
+  if (side == Side::Right) {
+    trsm_right_base(uplo, trans, diag, alpha, a, b);
+    return;
+  }
+  if (alpha != 1.0) {
+    for (idx j = 0; j < b.cols(); ++j) scal(b.rows(), alpha, b.col_ptr(j), 1);
+  }
+  for (idx j = 0; j < b.cols(); ++j) {
+    trsv(uplo, trans, diag, a, b.col_ptr(j), 1);
   }
 }
 

@@ -8,13 +8,20 @@
 //
 // The implementation is recursive: the triangle is split in half and the
 // rectangular off-diagonal work is routed through gemm, so large solves run
-// at BLAS-3 speed; small base cases fall back to per-vector trsv.
+// at BLAS-3 speed. Left base cases solve per column with trsv; right base
+// cases sweep B in strips of kTrsmStripRows rows with contiguous column
+// updates (the tall L blocks of a CALU panel are right-side solves).
 #pragma once
 
 #include "blas/types.hpp"
 #include "matrix/view.hpp"
 
 namespace camult::blas {
+
+/// Rows of B per strip of the right-side base case: a strip of a base-case
+/// block (32 columns: 32 KiB) stays cache resident while the whole triangle
+/// is applied to it.
+inline constexpr idx kTrsmStripRows = 128;
 
 void trsm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b);

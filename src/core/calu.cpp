@@ -51,6 +51,9 @@ rt::BlockKey pack_key(idx k, idx slot, idx stride) {
 struct IterState {
   RowPartition part;             // panel row partition (panel-relative)
   std::vector<Candidates> slot;  // tournament slots
+  // Health screen of each leaf's rows (monitor only), written by the leaf
+  // task and folded by the pivot task.
+  std::vector<PanelScreen> screen;
   PivotVector piv;               // panel-local swap sequence
   // Packed L block per leaf, built by the iteration's pack tasks and read
   // (concurrently) by its S tasks; an end-of-iteration task returns the
@@ -129,13 +132,16 @@ void CaluAlgo::submit_iteration(idx k) {
     st->part = partition_panel_rows(panel_rows, b, opts.tr, jb);
     const idx leaves = st->part.count();
     st->slot.resize(static_cast<std::size_t>(leaves));
+    if (opts.monitor) st->screen.resize(static_cast<std::size_t>(leaves));
     if (opts.pack_trailing) st->lpack.resize(static_cast<std::size_t>(leaves));
     IterState* S = st.get();
     iters.push_back(std::move(st));
 
     MatrixView panel = a.block(row0, col0, panel_rows, jb);
 
-    // --- Task P (leaves): tournament round 1.
+    // --- Task P (leaves): tournament round 1, plus the health screen of
+    // the leaf's rows. Both only read the panel, so the screen describes
+    // the input.
     for (idx i = 0; i < leaves; ++i) {
       const idx lstart = S->part.start[static_cast<std::size_t>(i)];
       const idx lrows = S->part.rows[static_cast<std::size_t>(i)];
@@ -149,11 +155,17 @@ void CaluAlgo::submit_iteration(idx k) {
       topts.priority = prio.panel(k);
       topts.label = "leaf" + std::to_string(i);
       const lapack::LuPanelKernel kern = opts.leaf_kernel;
+      const bool monitor = opts.monitor;
       C.add_task(acc, std::move(topts),
-                 [S, panel, lstart, lrows, i, b, kern]() {
-                   S->slot[static_cast<std::size_t>(i)] = tournament_leaf(
-                       panel.block(lstart, 0, lrows, panel.cols()), lstart, b,
-                       kern);
+                 [S, panel, lstart, lrows, i, b, kern, monitor]() {
+                   ConstMatrixView block =
+                       panel.block(lstart, 0, lrows, panel.cols());
+                   if (monitor) {
+                     S->screen[static_cast<std::size_t>(i)] =
+                         screen_panel(block);
+                   }
+                   S->slot[static_cast<std::size_t>(i)] =
+                       tournament_leaf(block, lstart, b, kern);
                  });
     }
 
@@ -186,8 +198,10 @@ void CaluAlgo::submit_iteration(idx k) {
       });
     }
 
-    // --- Task P (pivot placement): build the swap sequence, swap the panel
-    // rows, install the root's packed LU as the top jb x jb block.
+    // --- Task P (pivot placement): fold the leaves' health screens, build
+    // the swap sequence, swap the panel rows, install the root's packed LU
+    // as the top jb x jb block. The leaf screens are ordered before this
+    // task through the candidate-slot edges (every leaf feeds the root).
     {
       std::vector<BlockAccess> acc;
       acc.push_back({cand_key(kr, 0, cand_stride), AccessMode::Read});
@@ -213,9 +227,9 @@ void CaluAlgo::submit_iteration(idx k) {
         // so a degenerate outcome (zero pivot / growth past the limit) is
         // known while a full-panel GEPP retry is still possible. A
         // non-finite panel is flagged but never "rescued" (GEPP on NaN is
-        // equally lost).
-        PanelScreen scr;
-        if (monitor) scr = screen_panel(panel);
+        // equally lost). Without the monitor there are no leaf screens and
+        // the fold is the empty screen.
+        const PanelScreen scr = fold_screens(S->screen);
         RootCheck rc = check_packed_lu(root.lu_top.view(), jb);
         const bool fall_back =
             monitor && !scr.nonfinite &&
@@ -497,14 +511,16 @@ void CaluAlgo::submit_tail() {
 }
 
 // Retirement frees the per-iteration working set the trailing tasks no
-// longer need — tournament candidate blocks and pack slabs (the packfree
-// task already emptied the slabs; shrink releases the vectors too). The piv
-// vector, jb, and fell_back stay: the deferred left swaps and the
-// collect-time folds read them after the iteration is long gone.
+// longer need — tournament candidate blocks, leaf screens and pack slabs
+// (the packfree task already emptied the slabs; shrink releases the vectors
+// too). The piv vector, jb, and fell_back stay: the deferred left swaps and
+// the collect-time folds read them after the iteration is long gone.
 void CaluAlgo::retire(idx k) {
   IterState& st = *iters[static_cast<std::size_t>(k)];
   st.slot.clear();
   st.slot.shrink_to_fit();
+  st.screen.clear();
+  st.screen.shrink_to_fit();
   st.lpack.clear();
   st.lpack.shrink_to_fit();
 }

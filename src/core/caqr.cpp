@@ -70,11 +70,6 @@ struct CaqrAlgo {
     result.n = C.n;
     result.iterations.resize(static_cast<std::size_t>(C.n_panels));
     packs.reserve(static_cast<std::size_t>(C.n_panels));
-    // Screen the input before the first task can mutate it (the driver
-    // builds the graph after this): the verdict describes the caller's
-    // matrix, not intermediate update state. Householder QR never falls
-    // back, so unlike CALU one whole-matrix scan suffices.
-    if (opts.monitor) screen = screen_panel(C.a);
   }
 
   void submit_iteration(idx k);
@@ -86,7 +81,8 @@ struct CaqrAlgo {
   const CaqrOptions& opts;
   CaqrResult result;
   std::vector<std::unique_ptr<IterPacks>> packs;
-  PanelScreen screen;  ///< input screen (monitor only)
+  /// Input screen of each iteration-0 leaf's row band (monitor only).
+  std::vector<PanelScreen> screens;
 };
 
 // Submit every task of panel iteration k (leaf QR, packs, leaf updates,
@@ -129,13 +125,27 @@ void CaqrAlgo::submit_iteration(idx k) {
 
     MatrixView panel = a.block(row0, row0, panel_rows, jb);
 
-    // --- Task P (leaves): QR of each leaf block.
+    // --- Task P (leaves): QR of each leaf block. With the monitor on,
+    // iteration 0's leaves first screen their whole row band (all n
+    // columns) of the caller's matrix, so the input screen runs in
+    // parallel and before any task mutates it: the leaf's own QR comes
+    // after its screen, and the band's trailing tiles are written only by
+    // this iteration's S tasks, which already wait for the leaf. Householder
+    // QR never falls back, so that one screen of the input suffices.
+    const bool screen_input = opts.monitor && k == 0;
+    if (screen_input) screens.resize(static_cast<std::size_t>(leaves));
     for (idx i = 0; i < leaves; ++i) {
       const idx lstart = F.part.start[static_cast<std::size_t>(i)];
       const idx lrows = F.part.rows[static_cast<std::size_t>(i)];
+      const idx tile0 = kb + lstart / b;
+      const idx tile1 = kb + (lstart + lrows + b - 1) / b;
       std::vector<BlockAccess> acc;
-      add_tile_range(acc, kb + lstart / b, kb + (lstart + lrows + b - 1) / b,
-                     kb, AccessMode::ReadWrite);
+      add_tile_range(acc, tile0, tile1, kb, AccessMode::ReadWrite);
+      if (screen_input) {
+        for (idx jblk = kb + 1; jblk < n_blocks; ++jblk) {
+          add_tile_range(acc, tile0, tile1, jblk, AccessMode::Read);
+        }
+      }
       acc.push_back({leaf_key(kr, i, key_stride), AccessMode::Write});
       rt::TaskOptions topts;
       topts.kind = TaskKind::Panel;
@@ -143,7 +153,12 @@ void CaqrAlgo::submit_iteration(idx k) {
       topts.priority = prio.panel(k);
       topts.label = "leaf" + std::to_string(i);
       CaqrIterationFactors* Fp = &F;
-      C.add_task(acc, std::move(topts), [Fp, panel, lstart, lrows, i]() {
+      PanelScreen* scr =
+          screen_input ? &screens[static_cast<std::size_t>(i)] : nullptr;
+      ConstMatrixView band = a.block(row0 + lstart, 0, lrows, n);
+      C.add_task(acc, std::move(topts),
+                 [Fp, panel, lstart, lrows, i, scr, band]() {
+        if (scr != nullptr) *scr = screen_panel(band);
         Fp->leaves[static_cast<std::size_t>(i)] = tsqr_leaf_kernel(
             panel.block(lstart, 0, lrows, panel.cols()), lstart);
       });
@@ -388,6 +403,7 @@ void CaqrAlgo::retire(idx k) {
 void CaqrAlgo::fold() {
   if (!opts.monitor) return;
   HealthReport& health = result.health;
+  const PanelScreen screen = fold_screens(screens);
   health.nan_detected = screen.nonfinite;
   double rmax = 0.0;
   const idx kmax = std::min(result.m, result.n);

@@ -10,9 +10,8 @@
 // algorithm policy `Algo` that supplies:
 //
 //   using Options / Result           — CaluOptions/CaluResult, ...
-//   Algo(DriverState&, const Options&) — per-run setup (result arrays,
-//                                      input screening); runs before the
-//                                      graph exists
+//   Algo(DriverState&, const Options&) — per-run setup (result arrays);
+//                                      runs before the graph exists
 //   void submit_iteration(idx k)     — every task of panel iteration k
 //   void submit_tail()               — tasks after the last iteration
 //                                      (CALU's deferred left swaps)

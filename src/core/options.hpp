@@ -134,9 +134,10 @@ struct FactorResult {
 /// builds and submits the task DAG (all of it with window == 0; just the
 /// first `window` iterations otherwise — collect() pumps the rest as
 /// earlier iterations retire) and returns immediately in real-thread mode;
-/// inline mode runs the submitted prefix in the constructor. collect()
-/// blocks for the result. Submit many, overlap their execution on one
-/// WorkerPool, collect in any order.
+/// inline mode runs the submitted prefix in the constructor. The constructor
+/// does not scan the matrix: the health monitor's input screens run inside
+/// the panel tasks. collect() blocks for the result. Submit many, overlap
+/// their execution on one WorkerPool, collect in any order.
 ///
 /// The matrix storage must stay alive and untouched until collect() (or
 /// destruction); destruction without collect() drains the graph and

@@ -1,31 +1,35 @@
 #include "core/tournament.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
 
+#include "blas/pack.hpp"
 #include "lapack/getf2.hpp"
 #include "lapack/getrf.hpp"
 
 namespace camult::core {
 namespace {
 
-// Elect pivots from a stack of candidate rows: GEPP on a scratch copy, then
-// gather the winning rows (original values) and their indices.
-Candidates elect(const Matrix& stacked_values,
-                 const std::vector<idx>& stacked_index, idx b,
-                 lapack::LuPanelKernel kernel) {
-  const idx rows = stacked_values.rows();
-  const idx cols = stacked_values.cols();
+// Elect pivots from a stack of candidate rows: GEPP on a scratch copy
+// leased from the calling worker's buffer pool, then gather the winning
+// rows (original values, read from `values`) and their indices.
+Candidates elect(ConstMatrixView values, const std::vector<idx>& index,
+                 idx b, lapack::LuPanelKernel kernel) {
+  const idx rows = values.rows();
+  const idx cols = values.cols();
   const idx k = std::min(b, rows);
 
-  Matrix scratch = stacked_values;
+  blas::ScratchBuffer buf(static_cast<std::size_t>(rows * cols));
+  MatrixView scratch(buf.data(), rows, cols, rows);
+  copy_into(values, scratch);
   PivotVector ipiv;
   // Zero pivots tolerated: the row order is still the GEPP order.
   if (kernel == lapack::LuPanelKernel::Recursive) {
-    lapack::rgetf2(scratch.view(), ipiv);
+    lapack::rgetf2(scratch, ipiv);
   } else {
-    lapack::getf2(scratch.view(), ipiv);
+    lapack::getf2(scratch, ipiv);
   }
 
   // Positions after applying the swap sequence: permuted[r] = original slot.
@@ -36,13 +40,13 @@ Candidates elect(const Matrix& stacked_values,
   out.row_index.resize(static_cast<std::size_t>(k));
   for (idx r = 0; r < k; ++r) {
     const idx src = perm[static_cast<std::size_t>(r)];
-    for (idx j = 0; j < cols; ++j) out.values(r, j) = stacked_values(src, j);
+    for (idx j = 0; j < cols; ++j) out.values(r, j) = values(src, j);
     out.row_index[static_cast<std::size_t>(r)] =
-        stacked_index[static_cast<std::size_t>(src)];
+        index[static_cast<std::size_t>(src)];
   }
   // Keep the LU factors of the winners (top k x cols of the factored stack).
   out.lu_top = Matrix(k, cols);
-  copy_into(scratch.view().rows_range(0, k), out.lu_top.view());
+  copy_into(scratch.rows_range(0, k), out.lu_top.view());
   return out;
 }
 
@@ -51,12 +55,11 @@ Candidates elect(const Matrix& stacked_values,
 Candidates tournament_leaf(ConstMatrixView block, idx row_offset, idx b,
                            lapack::LuPanelKernel kernel) {
   assert(!block.empty());
-  Matrix values = Matrix::from(block);
   std::vector<idx> index(static_cast<std::size_t>(block.rows()));
   for (idx i = 0; i < block.rows(); ++i) {
     index[static_cast<std::size_t>(i)] = row_offset + i;
   }
-  return elect(values, index, b, kernel);
+  return elect(block, index, b, kernel);
 }
 
 Candidates tournament_combine(const std::vector<const Candidates*>& sources,
@@ -76,7 +79,7 @@ Candidates tournament_combine(const std::vector<const Candidates*>& sources,
     index.insert(index.end(), c->row_index.begin(), c->row_index.end());
     row += c->values.rows();
   }
-  return elect(stacked, index, b, kernel);
+  return elect(stacked.view(), index, b, kernel);
 }
 
 PanelScreen screen_panel(ConstMatrixView panel) {
@@ -91,6 +94,15 @@ PanelScreen screen_panel(ConstMatrixView panel) {
         s.absmax = std::abs(v);
       }
     }
+  }
+  return s;
+}
+
+PanelScreen fold_screens(const std::vector<PanelScreen>& parts) {
+  PanelScreen s;
+  for (const PanelScreen& p : parts) {
+    s.nonfinite = s.nonfinite || p.nonfinite;
+    s.absmax = std::max(s.absmax, p.absmax);
   }
   return s;
 }

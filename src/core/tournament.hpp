@@ -27,13 +27,17 @@ struct Candidates {
 };
 
 /// Leaf match: GEPP on a copy of `block` (rows of the panel starting at
-/// global row `row_offset`); elects min(b, block.rows()) pivot rows.
+/// global row `row_offset`); elects min(b, block.rows()) pivot rows. The
+/// copy is the only one: it lives in a slab leased from the calling
+/// thread's blas::ScratchBuffer pool, and the winners' original values are
+/// gathered from `block` itself.
 Candidates tournament_leaf(
     ConstMatrixView block, idx row_offset, idx b,
     lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive);
 
-/// Internal match: stack the candidate sets and run GEPP on the stack;
-/// elects min(b, total rows) pivot rows. `sources` must be non-empty.
+/// Internal match: stack the candidate sets and run GEPP on a pooled copy
+/// of the stack; elects min(b, total rows) pivot rows. `sources` must be
+/// non-empty.
 Candidates tournament_combine(
     const std::vector<const Candidates*>& sources, idx b,
     lapack::LuPanelKernel kernel = lapack::LuPanelKernel::Recursive);
@@ -52,6 +56,10 @@ struct PanelScreen {
   bool nonfinite = false;
 };
 PanelScreen screen_panel(ConstMatrixView panel);
+/// The screen of a matrix from the screens of row blocks that partition it
+/// (OR of nonfinite, max of absmax). Both are order-independent, so the
+/// result equals screen_panel of the whole matrix bit for bit.
+PanelScreen fold_screens(const std::vector<PanelScreen>& parts);
 
 /// Degeneracy check on a packed LU block (getf2 layout — U on and above the
 /// diagonal): max |U| over the leading `b` columns and whether any diagonal

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/test_utils.hpp"
 #include "core/calu.hpp"
 #include "core/caqr.hpp"
+#include "core/tournament.hpp"
 #include "lapack/lapack.hpp"
 #include "matrix/random.hpp"
 
@@ -294,6 +296,67 @@ TEST(AdversarialHealth, CaqrReportsGrowthOnHealthyInput) {
   EXPECT_FALSE(res.health.nan_detected);
   EXPECT_EQ(res.health.fallback_panels, 0);
   EXPECT_GT(res.health.max_growth, 0.0);
+}
+
+// ---- Where the input screens run ----------------------------------------
+//
+// The monitor's input screen is split across the parallel panel tasks
+// (CALU: one per tournament leaf; CAQR: iteration 0's leaves, each over its
+// whole row band). These pin the verdicts that depend on every cell being
+// covered exactly as a single whole-input scan would cover it.
+
+TEST(AdversarialHealth, CaqrGrowthIsMaxRAgainstInputAbsmax) {
+  struct Shape {
+    idx m, n;
+  };
+  for (const Shape sh : {Shape{1000, 64}, Shape{48, 96}}) {
+    Matrix a = random_matrix(sh.m, sh.n, 1017);
+    a(sh.m - 1, sh.n - 1) = 40.0;  // input absmax, in a trailing tile
+    Matrix f = a;
+    core::CaqrOptions opts;
+    opts.b = 16;
+    opts.tr = 4;
+    opts.num_threads = 4;
+    core::CaqrResult res = core::caqr_factor(f.view(), opts);
+    double rmax = 0.0;
+    const idx kmax = std::min(sh.m, sh.n);
+    for (idx j = 0; j < sh.n; ++j) {
+      for (idx i = 0; i < std::min(j + 1, kmax); ++i) {
+        rmax = std::max(rmax, std::abs(f(i, j)));
+      }
+    }
+    const core::PanelScreen scr = core::screen_panel(a.view());
+    ASSERT_EQ(scr.absmax, 40.0);
+    EXPECT_EQ(res.health.max_growth, rmax / scr.absmax)
+        << sh.m << "x" << sh.n;
+  }
+}
+
+TEST(AdversarialHealth, CaqrFlagsLoneNanInLastColumn) {
+  const idx m = 1000, n = 64;
+  for (const idx row : {m - 1, idx{0}}) {
+    Matrix a = random_matrix(m, n, 1019);
+    a(row, n - 1) = std::numeric_limits<double>::quiet_NaN();
+    core::CaqrOptions opts;
+    opts.b = 16;
+    opts.tr = 4;
+    opts.num_threads = 4;
+    core::CaqrResult res = core::caqr_factor(a.view(), opts);
+    EXPECT_TRUE(res.health.nan_detected) << "NaN at row " << row;
+  }
+}
+
+TEST(AdversarialHealth, CaluFlagsNanInLastRowOfFirstPanel) {
+  const idx m = 96, n = 96;
+  Matrix a = random_matrix(m, n, 1021);
+  a(m - 1, 0) = std::numeric_limits<double>::quiet_NaN();
+  core::CaluOptions opts;
+  opts.b = 16;
+  opts.tr = 4;
+  opts.num_threads = 4;
+  core::CaluResult res = core::calu_factor(a.view(), opts);
+  EXPECT_TRUE(res.health.nan_detected);
+  EXPECT_EQ(res.health.fallback_panels, 0);
 }
 
 }  // namespace

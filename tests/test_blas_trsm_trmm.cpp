@@ -74,6 +74,19 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TrsmAllCombos,
                                            std::tuple<idx, idx>{100, 130},
                                            std::tuple<idx, idx>{129, 40}));
 
+// Tall B for the right-side base case, which sweeps B in row strips of
+// kTrsmStripRows: m straddles one strip boundary or ends in a ragged strip
+// after several full ones; n covers a single column, both sides of the
+// base-case cutoff (32 with the 8-row kernels) and the tall_skinny panel
+// width 50.
+INSTANTIATE_TEST_SUITE_P(
+    RightStrips, TrsmAllCombos,
+    ::testing::Combine(::testing::Values(kTrsmStripRows - 1,
+                                         kTrsmStripRows + 1,
+                                         3 * kTrsmStripRows + 5),
+                       ::testing::Values(idx{1}, idx{31}, idx{33}, idx{50},
+                                         idx{65})));
+
 class TrmmAllCombos : public ::testing::TestWithParam<std::tuple<idx, idx>> {};
 
 TEST_P(TrmmAllCombos, MatchesExplicitMultiply) {
@@ -127,6 +140,34 @@ TEST(Trsm, TriangularOppositeHalfNotRead) {
        b.view());
   for (idx j = 0; j < 5; ++j) {
     for (idx i = 0; i < n; ++i) EXPECT_FALSE(std::isnan(b(i, j)));
+  }
+}
+
+TEST(Trsm, RightTriangularOppositeHalfNotRead) {
+  // Right side: poison the triangle op(A) does not reference with NaN, for
+  // each uplo/trans; 300 rows span several row strips of the base case.
+  const idx n = 40, m = 300;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Uplo u : {Uplo::Lower, Uplo::Upper}) {
+    for (Trans t : {Trans::NoTrans, Trans::Trans}) {
+      Matrix a = random_matrix(n, n, 13);
+      for (idx i = 0; i < n; ++i) a(i, i) += 3.0;
+      for (idx j = 0; j < n; ++j) {
+        for (idx i = 0; i < n; ++i) {
+          if (u == Uplo::Lower ? i < j : i > j) a(i, j) = nan;
+        }
+      }
+      Matrix b = random_matrix(m, n, 14);
+      trsm(Side::Right, u, t, Diag::NonUnit, 1.0, a, b.view());
+      for (idx j = 0; j < n; ++j) {
+        for (idx i = 0; i < m; ++i) {
+          ASSERT_FALSE(std::isnan(b(i, j)))
+              << "uplo=" << (u == Uplo::Upper)
+              << " trans=" << (t == Trans::Trans) << " at (" << i << ", "
+              << j << ")";
+        }
+      }
+    }
   }
 }
 
