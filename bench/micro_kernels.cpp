@@ -73,9 +73,38 @@ void BM_trsm(benchmark::State& state) {
 // L task (a 25000-row leaf of a b = 50 panel).
 BENCHMARK(BM_trsm)->Args({1000, 100})->Args({4000, 100})->Args({25000, 50});
 
+template <int Kernel>  // 0 = gemm_inner, 1 = gemm_packed with B pre-packed
+void BM_gram(benchmark::State& state) {
+  // The Gram-shaped product of larfb/geqr3: C (m x n) += A^T B, with A
+  // (k x m) and B (k x n) column-major and k long.
+  const idx m = state.range(0), n = state.range(1), k = state.range(2);
+  Matrix a = random_matrix(k, m, 13);
+  Matrix b = random_matrix(k, n, 14);
+  Matrix c = Matrix::zeros(m, n);
+  blas::PackedPanel bp;
+  if constexpr (Kernel == 1) bp = blas::pack_b(b, blas::Trans::NoTrans);
+  for (auto _ : state) {
+    if constexpr (Kernel == 0) {
+      blas::gemm_inner(1.0, a, b, c.view());
+    } else {
+      blas::gemm_packed(blas::Trans::Trans, 1.0, a, bp, 1.0, c.view());
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m) * n * k * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+// {m, n, k}: a 25000 x 50 TSQR leaf's top-level W and T12 shapes, then a
+// square workload's b = 100 reflector, where gemm_packed stays ahead.
+BENCHMARK_TEMPLATE(BM_gram, 0)->Name("BM_gemm_inner")
+    ->Args({50, 50, 25000})->Args({25, 25, 25000})->Args({100, 100, 1900});
+BENCHMARK_TEMPLATE(BM_gram, 1)->Name("BM_gemm_packed_tn")
+    ->Args({50, 50, 25000})->Args({25, 25, 25000})->Args({100, 100, 1900});
+
 void BM_larfb(benchmark::State& state) {
   // CAQR leaf update shape: block reflector (m x b) applied to (m x b).
-  const idx m = state.range(0), b = 100;
+  const idx m = state.range(0), b = state.range(1);
   Matrix v = random_matrix(m, b, 8);
   std::vector<double> tau;
   Matrix t = Matrix::zeros(b, b);
@@ -89,7 +118,29 @@ void BM_larfb(benchmark::State& state) {
       4.0 * static_cast<double>(m) * b * b * state.iterations() * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_larfb)->Arg(1000)->Arg(4000);
+// {m, b}: square-workload reflectors, then the tall_skinny leaf (b = 50).
+BENCHMARK(BM_larfb)->Args({1000, 100})->Args({4000, 100})->Args({25000, 50});
+
+void BM_geqr3_leaf(benchmark::State& state) {
+  // One TSQR leaf: tall_skinny's 25000 x 50 and square's 500 x 100.
+  const idx m = state.range(0), b = state.range(1);
+  Matrix a = random_matrix(m, b, 15);
+  Matrix w(m, b);
+  Matrix t = Matrix::zeros(b, b);
+  std::vector<double> tau;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy_into(a.view(), w.view());
+    state.ResumeTiming();
+    lapack::geqr3(w.view(), tau, t.view());
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      camult::bench::qr_flops(m, b) * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_geqr3_leaf)->Args({25000, 50})->Args({500, 100});
 
 template <int Kernel>  // 0 = getf2, 1 = rgetf2
 void BM_lu_panel(benchmark::State& state) {

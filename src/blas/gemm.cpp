@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "blas/kernel.hpp"
+#include "blas/lanes.hpp"
 #include "blas/pack.hpp"
 
 namespace camult::blas {
@@ -91,7 +92,104 @@ void gemm_blocked(const GemmBlocking& blk, MicrokernelFn kern, idx m, idx n,
   traffic.c_bytes += c_bytes;
 }
 
+using detail::kLanes;
+using detail::Lanes;
+constexpr idx kInnerTile = 4;
+// K chunk of gemm_inner: the 4 + 4 operand columns of a tile (16 KiB) stay
+// in L1 while it runs, and a chunk of two 50-column operands (200 KiB) stays
+// in L2 across the tiles.
+constexpr idx kInnerKc = 256;
+
+// One chunk (kc rows of the operands) of a MB x NB tile of C. part holds the
+// kLanes partial sums of entry (i, j) at part[(i + j * ldp) * kLanes]; the
+// first chunk starts them from zero instead of reading them. The k % 8
+// remainder is loaded zero-padded and takes the same multiply-add, so every
+// entry sees the same lane arithmetic whatever the tile shape.
+template <int MB, int NB>
+void inner_tile(idx kc, bool first, const double* a, idx lda, const double* b,
+                idx ldb, double* part, idx ldp) {
+  Lanes s[MB][NB];
+  for (int j = 0; j < NB; ++j) {
+    for (int i = 0; i < MB; ++i) {
+      s[i][j] = Lanes{};
+      if (!first) detail::load_lanes(s[i][j], part + (i + j * ldp) * kLanes);
+    }
+  }
+  const idx kv = kc - kc % kLanes;
+  for (idx p = 0; p < kv; p += kLanes) {
+    Lanes av[MB];
+    Lanes bv[NB];
+    for (int i = 0; i < MB; ++i) detail::load_lanes(av[i], a + i * lda + p);
+    for (int j = 0; j < NB; ++j) detail::load_lanes(bv[j], b + j * ldb + p);
+    for (int j = 0; j < NB; ++j) {
+      for (int i = 0; i < MB; ++i) s[i][j] += av[i] * bv[j];
+    }
+  }
+  if (kv < kc) {
+    Lanes av[MB];
+    Lanes bv[NB];
+    for (int i = 0; i < MB; ++i) {
+      detail::load_lanes_tail(av[i], a + i * lda + kv, kc - kv);
+    }
+    for (int j = 0; j < NB; ++j) {
+      detail::load_lanes_tail(bv[j], b + j * ldb + kv, kc - kv);
+    }
+    for (int j = 0; j < NB; ++j) {
+      for (int i = 0; i < MB; ++i) s[i][j] += av[i] * bv[j];
+    }
+  }
+  for (int j = 0; j < NB; ++j) {
+    for (int i = 0; i < MB; ++i) {
+      std::memcpy(part + (i + j * ldp) * kLanes, &s[i][j], sizeof(Lanes));
+    }
+  }
+}
+
+using InnerTileFn = void (*)(idx, bool, const double*, idx, const double*,
+                             idx, double*, idx);
+
+// kInnerTileFns[mb - 1][nb - 1] handles an mb x nb tile.
+constexpr InnerTileFn kInnerTileFns[kInnerTile][kInnerTile] = {
+    {&inner_tile<1, 1>, &inner_tile<1, 2>, &inner_tile<1, 3>, &inner_tile<1, 4>},
+    {&inner_tile<2, 1>, &inner_tile<2, 2>, &inner_tile<2, 3>, &inner_tile<2, 4>},
+    {&inner_tile<3, 1>, &inner_tile<3, 2>, &inner_tile<3, 3>, &inner_tile<3, 4>},
+    {&inner_tile<4, 1>, &inner_tile<4, 2>, &inner_tile<4, 3>, &inner_tile<4, 4>}};
+
 }  // namespace
+
+void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
+                MatrixView c) {
+  const idx m = c.rows();
+  const idx n = c.cols();
+  const idx k = a.rows();
+  assert(a.cols() == m && b.cols() == n && b.rows() == k);
+  if (alpha == 0.0 || m == 0 || n == 0 || k == 0) return;
+
+  ScratchBuffer part(static_cast<std::size_t>(m * n * kLanes));
+  std::int64_t kernel_bytes = 0;
+  for (idx pc = 0; pc < k; pc += kInnerKc) {
+    const idx kc = std::min<idx>(kInnerKc, k - pc);
+    for (idx j0 = 0; j0 < n; j0 += kInnerTile) {
+      const idx nb = std::min<idx>(kInnerTile, n - j0);
+      for (idx i0 = 0; i0 < m; i0 += kInnerTile) {
+        const idx mb = std::min<idx>(kInnerTile, m - i0);
+        kInnerTileFns[mb - 1][nb - 1](
+            kc, pc == 0, a.col_ptr(i0) + pc, a.ld(), b.col_ptr(j0) + pc,
+            b.ld(), part.data() + (i0 + j0 * m) * kLanes, m);
+        kernel_bytes += (mb + nb) * kc * 8;
+      }
+    }
+  }
+  for (idx j = 0; j < n; ++j) {
+    double* cc = c.col_ptr(j);
+    for (idx i = 0; i < m; ++i) {
+      cc[i] += alpha * detail::reduce_lanes(part.data() + (i + j * m) * kLanes);
+    }
+  }
+  GemmTraffic& traffic = detail::gemm_traffic_tls();
+  traffic.kernel_bytes += kernel_bytes;
+  traffic.c_bytes += m * n * 16;
+}
 
 GemmBlocking gemm_blocking() {
   // The blocking a large square multiply would get right now (override and

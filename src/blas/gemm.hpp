@@ -39,6 +39,22 @@ void gemm_packed(double alpha, const PackedPanel& a_packed, Trans transb,
 void gemm_packed(Trans transa, double alpha, ConstMatrixView a,
                  const PackedPanel& b_packed, double beta, MatrixView c);
 
+/// C += alpha * A^T * B with A (k x m) and B (k x n) column-major, i.e. both
+/// operands contiguous along the inner dimension k: the Gram-shaped product
+/// of Householder code (W = C2^T V2 in larfb, V1^T V2 in geqr3's T), where
+/// m, n are a few dozen and k is tens of thousands. gemm would spend most of
+/// such a call packing; this kernel packs nothing. It walks k in chunks of
+/// 256, and within a chunk every C entry of a tile of up to 4 x 4 is an
+/// 8-lane dot product (lane r sums the terms with p % 8 == r). The lane
+/// partial sums persist across chunks in a ScratchBuffer, and each entry is
+/// reduced in one fixed order at the end, so a result is a function of its
+/// own row of A^T and column of B only: independent of m, n, the tiling,
+/// the calling thread and the GEMM kernel selection. No zero-skip: a NaN or
+/// Inf in A or B reaches exactly the C entries whose dot product reads it,
+/// as in gemm. alpha == 0 leaves C untouched.
+void gemm_inner(double alpha, ConstMatrixView a, ConstMatrixView b,
+                MatrixView c);
+
 /// The blocking a large square multiply would use right now (active kernel
 /// + tuning table + override applied). GemmBlocking itself lives in
 /// kernel.hpp; this accessor is kept for benchmarks/tests.

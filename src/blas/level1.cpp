@@ -1,6 +1,9 @@
 #include "blas/level1.hpp"
 
 #include <cmath>
+#include <limits>
+
+#include "blas/lanes.hpp"
 
 namespace camult::blas {
 
@@ -52,7 +55,11 @@ double dot(idx n, const double* x, idx incx, const double* y, idx incy) {
   return s;
 }
 
-double nrm2(idx n, const double* x, idx incx) {
+namespace {
+
+// The scaled sum of squares (dnrm2 before LAPACK 3.10): safe for any finite
+// input, at the price of a division per element.
+double nrm2_scaled(idx n, const double* x, idx incx) {
   double scale = 0.0;
   double ssq = 1.0;
   for (idx i = 0; i < n; ++i) {
@@ -68,6 +75,49 @@ double nrm2(idx n, const double* x, idx incx) {
     }
   }
   return scale * std::sqrt(ssq);
+}
+
+// A plain sum of squares is as good as the scaled one when it lands at or
+// above this: no square overflowed (the sum is finite), and squares that
+// underflowed lose at most 2^-1074 each, which n of them cannot lift to an
+// ulp of a sum this large.
+constexpr double kNrm2SafeMin =
+    std::numeric_limits<double>::min() / std::numeric_limits<double>::epsilon();
+
+}  // namespace
+
+double nrm2(idx n, const double* x, idx incx) {
+  // Fast path: the sum of squares in detail::kLanes accumulators. A sum
+  // outside [kNrm2SafeMin, DBL_MAX] (overflow, all-tiny or zero input, NaN,
+  // Inf) is thrown away and the scaled loop decides, so those cases return
+  // exactly what it returns.
+  constexpr idx L = detail::kLanes;
+  const idx nv = n - n % L;
+  double ssq = 0.0;
+  if (incx == 1) {
+    detail::Lanes acc{};
+    detail::Lanes v;
+    for (idx i = 0; i < nv; i += L) {
+      detail::load_lanes(v, x + i);
+      acc += v * v;
+    }
+    if (nv < n) {
+      detail::load_lanes_tail(v, x + nv, n - nv);
+      acc += v * v;
+    }
+    ssq = detail::reduce_lanes(acc);
+  } else {
+    double acc[L] = {};
+    for (idx i = 0; i < n; ++i) {
+      const double v = x[i * incx];
+      acc[i % L] += v * v;
+    }
+    ssq = detail::reduce_lanes(acc);
+  }
+  if (ssq >= kNrm2SafeMin && ssq <= std::numeric_limits<double>::max()) {
+    return std::sqrt(ssq);
+  }
+  return nrm2_scaled(n, x, incx);
 }
 
 void copy(idx n, const double* x, idx incx, double* y, idx incy) {

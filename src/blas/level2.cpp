@@ -1,8 +1,50 @@
 #include "blas/level2.hpp"
 
+#include <algorithm>
 #include <cassert>
 
+#include "blas/lanes.hpp"
+
 namespace camult::blas {
+namespace {
+
+using detail::Lanes;
+
+constexpr idx kDotCols = 4;
+
+// dots[c] = A(:, c) . x for the NB columns at a (leading dimension lda),
+// unit-stride x: one x load feeds NB independent lane accumulators.
+template <int NB>
+void dot_cols(idx m, const double* a, idx lda, const double* x,
+              double* dots) {
+  constexpr idx L = detail::kLanes;
+  Lanes acc[NB];
+  for (int c = 0; c < NB; ++c) acc[c] = Lanes{};
+  const idx mv = m - m % L;
+  Lanes xv;
+  Lanes av;
+  for (idx i = 0; i < mv; i += L) {
+    detail::load_lanes(xv, x + i);
+    for (int c = 0; c < NB; ++c) {
+      detail::load_lanes(av, a + c * lda + i);
+      acc[c] += av * xv;
+    }
+  }
+  if (mv < m) {
+    detail::load_lanes_tail(xv, x + mv, m - mv);
+    for (int c = 0; c < NB; ++c) {
+      detail::load_lanes_tail(av, a + c * lda + mv, m - mv);
+      acc[c] += av * xv;
+    }
+  }
+  for (int c = 0; c < NB; ++c) dots[c] = detail::reduce_lanes(acc[c]);
+}
+
+using DotColsFn = void (*)(idx, const double*, idx, const double*, double*);
+constexpr DotColsFn kDotColsFns[kDotCols] = {&dot_cols<1>, &dot_cols<2>,
+                                             &dot_cols<3>, &dot_cols<4>};
+
+}  // namespace
 
 void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
           idx incx, double beta, double* y, idx incy) {
@@ -30,16 +72,28 @@ void gemv(Trans trans, double alpha, ConstMatrixView a, const double* x,
       }
     }
   } else {
-    // y_j += alpha * dot(A(:,j), x).
+    // y_j += alpha * dot(A(:,j), x), term i in lane i % kLanes, so no dot
+    // product is one serial chain of adds.
+    if (incx == 1) {
+      for (idx j = 0; j < n; j += kDotCols) {
+        const idx nb = std::min<idx>(kDotCols, n - j);
+        double dots[kDotCols];
+        kDotColsFns[static_cast<std::size_t>(nb - 1)](m, a.col_ptr(j), a.ld(),
+                                                      x, dots);
+        for (idx c = 0; c < nb; ++c) y[(j + c) * incy] += alpha * dots[c];
+      }
+      return;
+    }
+    constexpr idx L = detail::kLanes;
+    const idx mv = m - m % L;
     for (idx j = 0; j < n; ++j) {
       const double* col = a.col_ptr(j);
-      double s = 0.0;
-      if (incx == 1) {
-        for (idx i = 0; i < m; ++i) s += col[i] * x[i];
-      } else {
-        for (idx i = 0; i < m; ++i) s += col[i] * x[i * incx];
+      double acc[L] = {};
+      for (idx i = 0; i < mv; i += L) {
+        for (idx r = 0; r < L; ++r) acc[r] += col[i + r] * x[(i + r) * incx];
       }
-      y[j * incy] += alpha * s;
+      for (idx i = mv; i < m; ++i) acc[i - mv] += col[i] * x[i * incx];
+      y[j * incy] += alpha * detail::reduce_lanes(acc);
     }
   }
 }

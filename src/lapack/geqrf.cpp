@@ -55,6 +55,23 @@ void larft(ConstMatrixView v, const double* tau, MatrixView t) {
 
 namespace {
 
+// The one shape rule for the Gram-shaped products of an m x k reflector
+// block, C2^T V2 in larfb_left and V1^T V2 in geqr3's T: with a narrow V
+// and a long inner dimension they go to blas::gemm_inner, which packs
+// nothing, instead of a packed gemm (bench/micro_kernels BM_gemm_inner vs
+// BM_gemm_packed_tn). It reads the reflector shape only, so larfb_pack_v
+// and both larfb_left overloads agree on it: packed and unpacked
+// applications stay bitwise equal, and the pack skips V2's B-operand copy
+// exactly where it would be dead.
+bool gram_uses_inner(idx m, idx k) { return k <= 64 && m - k >= 16 * k; }
+
+// geqr3 stops recursing at this many columns and runs geqr2 + larft.
+// Narrower bases add recursion levels whose small trmm/gemm calls cost
+// more than they save on short leaves; wider ones pay for geqr2 sweeping
+// every remaining column of the block twice per column on tall leaves
+// (bench/micro_kernels BM_geqr3_leaf).
+constexpr idx kGeqr3BaseCols = 8;
+
 // Shared larfb_left body; vp (when non-null) supplies pre-packed copies of
 // V2 for the two gemms, everything else is identical.
 void larfb_left_impl(blas::Trans trans, ConstMatrixView v, ConstMatrixView t,
@@ -77,7 +94,10 @@ void larfb_left_impl(blas::Trans trans, ConstMatrixView v, ConstMatrixView t,
   blas::trmm(blas::Side::Right, blas::Uplo::Lower, blas::Trans::NoTrans,
              blas::Diag::Unit, 1.0, v1, w.view());
   if (m > k) {
-    if (vp != nullptr) {
+    if (gram_uses_inner(m, k)) {
+      blas::gemm_inner(1.0, c.rows_range(k, m - k), v.block(k, 0, m - k, k),
+                       w.view());
+    } else if (vp != nullptr) {
       blas::gemm_packed(blas::Trans::Trans, 1.0, c.rows_range(k, m - k),
                         vp->v2_b, 1.0, w.view());
     } else {
@@ -126,7 +146,9 @@ LarfbPackedV larfb_pack_v(ConstMatrixView v) {
   if (m > k) {
     ConstMatrixView v2 = v.block(k, 0, m - k, k);
     vp.v2_a = blas::pack_a(v2, blas::Trans::NoTrans);
-    vp.v2_b = blas::pack_b(v2, blas::Trans::NoTrans);
+    if (!gram_uses_inner(m, k)) {
+      vp.v2_b = blas::pack_b(v2, blas::Trans::NoTrans);
+    }
   }
   return vp;
 }
@@ -179,7 +201,7 @@ void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t) {
     static void run(MatrixView a_, double* tau_, MatrixView t_) {
       const idx m_ = a_.rows();
       const idx n_ = a_.cols();
-      if (n_ <= 8) {
+      if (n_ <= kGeqr3BaseCols) {
         std::vector<double> local_tau;
         geqr2(a_, local_tau);
         for (idx i = 0; i < n_; ++i) tau_[i] = local_tau[static_cast<std::size_t>(i)];
@@ -213,9 +235,14 @@ void geqr3(MatrixView a, std::vector<double>& tau, MatrixView t) {
       blas::trmm(blas::Side::Right, blas::Uplo::Lower, blas::Trans::NoTrans,
                  blas::Diag::Unit, 1.0, a_.block(n1, n1, n2, n2), t12);
       if (m_ > n1 + n2) {
-        blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0,
-                   a_.block(n1 + n2, 0, m_ - n1 - n2, n1),
-                   a_.block(n1 + n2, n1, m_ - n1 - n2, n2), 1.0, t12);
+        ConstMatrixView v1 = a_.block(n1 + n2, 0, m_ - n1 - n2, n1);
+        ConstMatrixView v2 = a_.block(n1 + n2, n1, m_ - n1 - n2, n2);
+        if (gram_uses_inner(m_, n_)) {
+          blas::gemm_inner(1.0, v1, v2, t12);
+        } else {
+          blas::gemm(blas::Trans::Trans, blas::Trans::NoTrans, 1.0, v1, v2,
+                     1.0, t12);
+        }
       }
       blas::trmm(blas::Side::Left, blas::Uplo::Upper, blas::Trans::NoTrans,
                  blas::Diag::NonUnit, -1.0, t1, t12);

@@ -38,14 +38,17 @@ void larfb_left(blas::Trans trans, ConstMatrixView v, ConstMatrixView t,
                 MatrixView c);
 
 /// Pre-packed rectangular part of a reflector block for larfb_left. V2
-/// (rows k..m of V) enters two gemms — once as the B operand (W += C2^T V2)
-/// and once as the A operand (C2 -= V2 W^T) — so both packings are kept.
-/// V1 (the unit lower triangle) is consumed by trmm straight from v.
+/// (rows k..m of V) enters two products: as the A operand of C2 -= V2 W^T,
+/// and as the B operand of W += C2^T V2. The first is always a packed gemm.
+/// The second is a packed gemm only for wide or short blocks; a narrow,
+/// tall V (k <= 64 and m - k >= 16 k) takes blas::gemm_inner, which reads V2
+/// in place, and then v2_b stays empty. V1 (the unit lower triangle) is
+/// consumed by trmm straight from v.
 /// Build once per panel, then share read-only across every trailing column
 /// segment the reflector is applied to.
 struct LarfbPackedV {
   blas::PackedPanel v2_a;  ///< pack_a(V2, NoTrans)
-  blas::PackedPanel v2_b;  ///< pack_b(V2, NoTrans)
+  blas::PackedPanel v2_b;  ///< pack_b(V2, NoTrans), or empty (see above)
   bool empty() const { return v2_a.empty(); }
 };
 

@@ -124,6 +124,26 @@ TEST(AdversarialPackParity, CaqrPackedMatchesUnpacked) {
   }
 }
 
+// The same parity where the leaves are tall enough (1000 x 50 reflectors)
+// for larfb to take the Gram-product kernel: the packed and unpacked S
+// tasks must agree on the shape rule, or the bits split.
+TEST(AdversarialPackParity, CaqrPackedMatchesUnpackedTallLeaves) {
+  for (const AdversarialCase& c : adversarial_cases(4000, 100, 921)) {
+    Matrix packed = c.a;
+    Matrix plain = c.a;
+    core::CaqrOptions opts;
+    opts.b = 50;
+    opts.tr = 4;
+    opts.num_threads = 4;
+    opts.pack_trailing = true;
+    core::caqr_factor(packed.view(), opts);
+    opts.pack_trailing = false;
+    core::caqr_factor(plain.view(), opts);
+    EXPECT_EQ(camult::test::max_diff(packed.view(), plain.view()), 0.0)
+        << c.name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AdversarialSweep,
     ::testing::Values(

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -201,6 +203,165 @@ TEST(Gemm, NanPlacementMatchesSmallVsBlocked) {
   EXPECT_TRUE(std::isnan(c_small(1, 0)));
   EXPECT_TRUE(std::isnan(c_small(5, 0)));
   EXPECT_FALSE(std::isnan(c_small(0, 0)));
+}
+
+// ---- gemm_inner: C += alpha * A^T B, A (k x m) and B (k x n) ------------
+
+void check_gemm_inner(idx m, idx n, idx k, double alpha, std::uint64_t seed) {
+  Matrix a = random_matrix(k, m, seed);
+  Matrix b = random_matrix(k, n, seed + 1);
+  Matrix c = random_matrix(m, n, seed + 2);
+  Matrix c_ref = c;
+  gemm_inner(alpha, a, b, c.view());
+  reference_gemm(Trans::Trans, Trans::NoTrans, alpha, a, b, 1.0, c_ref.view());
+  const double tol = 1e-12 * static_cast<double>(std::max<idx>(k, 1));
+  EXPECT_TRUE(matrices_near(c, c_ref, tol))
+      << "m=" << m << " n=" << n << " k=" << k << " alpha=" << alpha;
+}
+
+bool same_bits(ConstMatrixView x, ConstMatrixView y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (idx j = 0; j < x.cols(); ++j) {
+    if (std::memcmp(x.col_ptr(j), y.col_ptr(j),
+                    static_cast<std::size_t>(x.rows()) * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+class GemmInnerShapes : public ::testing::TestWithParam<ShapeParam> {};
+
+TEST_P(GemmInnerShapes, MatchesReference) {
+  auto [m, n, k] = GetParam();
+  check_gemm_inner(m, n, k, 1.0, 300);
+  check_gemm_inner(m, n, k, -0.75, 310);
+  check_gemm_inner(m, n, k, 2.5, 320);
+}
+
+// {m, n, k}: k % 8 != 0 (lane tail), m and n % 4 != 0 (tile fringes),
+// m or n == 1, k across the 256-row chunk boundary, and the TSQR leaf shape.
+INSTANTIATE_TEST_SUITE_P(
+    EdgeShapes, GemmInnerShapes,
+    ::testing::Values(ShapeParam{1, 1, 1}, ShapeParam{1, 1, 7},
+                      ShapeParam{1, 9, 13}, ShapeParam{7, 1, 8},
+                      ShapeParam{4, 4, 8}, ShapeParam{5, 6, 29},
+                      ShapeParam{3, 7, 255}, ShapeParam{9, 11, 257},
+                      ShapeParam{13, 2, 513}, ShapeParam{25, 25, 2000},
+                      ShapeParam{50, 50, 3001}));
+
+TEST(GemmInner, ZeroKOrAlphaLeavesCUntouched) {
+  Matrix a = random_matrix(0, 5, 330);
+  Matrix b = random_matrix(0, 3, 331);
+  Matrix c = random_matrix(5, 3, 332);
+  const Matrix c0 = c;
+  gemm_inner(1.5, a, b, c.view());
+  EXPECT_TRUE(same_bits(c, c0));
+
+  // alpha == 0 reads neither operand: a NaN there must not reach C.
+  Matrix a2 = random_matrix(9, 5, 333);
+  Matrix b2 = random_matrix(9, 3, 334);
+  a2(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  gemm_inner(0.0, a2, b2, c.view());
+  EXPECT_TRUE(same_bits(c, c0));
+}
+
+TEST(GemmInner, WorksOnStridedSubviews) {
+  Matrix abig = random_matrix(300, 20, 340);
+  Matrix bbig = random_matrix(300, 20, 341);
+  Matrix cbig = random_matrix(30, 30, 342);
+  ConstMatrixView a = abig.view().block(7, 2, 263, 9);
+  ConstMatrixView b = bbig.view().block(7, 5, 263, 6);
+  Matrix c_ref = cbig;
+  gemm_inner(-1.25, a, b, cbig.view().block(3, 4, 9, 6));
+  reference_gemm(Trans::Trans, Trans::NoTrans, -1.25, a, b, 1.0,
+                 c_ref.view().block(3, 4, 9, 6));
+  EXPECT_TRUE(matrices_near(cbig, c_ref, 1e-12 * 263));
+}
+
+// A NaN or Inf in A or B reaches exactly the C entries whose dot product
+// reads it, also against a zero in the other operand (0 * Inf, 0 * NaN)
+// and inside the k % 8 tail.
+TEST(GemmInner, NonFinitesReachExactlyTheirDependents) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const idx m = 7, n = 6, k = 43;  // 43 = 5 * 8 + 3: rows 40..42 are tail
+  struct Plant {
+    bool in_a;
+    idx p, col;
+    double v;
+  };
+  for (const Plant& pl :
+       {Plant{true, 3, 2, nan}, Plant{true, 41, 6, inf},
+        Plant{false, 17, 0, -inf}, Plant{false, 42, 5, nan}}) {
+    Matrix a = random_matrix(k, m, 350);
+    Matrix b = random_matrix(k, n, 351);
+    // A zero partner in the other operand for the planted row.
+    if (pl.in_a) {
+      a(pl.p, pl.col) = pl.v;
+      b(pl.p, 1) = 0.0;
+    } else {
+      b(pl.p, pl.col) = pl.v;
+      a(pl.p, 4) = 0.0;
+    }
+    Matrix c = random_matrix(m, n, 352);
+    gemm_inner(1.0, a, b, c.view());
+    for (idx j = 0; j < n; ++j) {
+      for (idx i = 0; i < m; ++i) {
+        const bool depends = pl.in_a ? (i == pl.col) : (j == pl.col);
+        EXPECT_EQ(!std::isfinite(c(i, j)), depends)
+            << "plant in " << (pl.in_a ? "A" : "B") << " row " << pl.p
+            << " col " << pl.col << ": C(" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+// Every entry is a function of its own row of A^T and column of B: the
+// tile it falls in, and how the caller splits C, must not change a bit.
+// larfb relies on this when CAQR applies one reflector to column segments.
+TEST(GemmInner, EntryBitsIndependentOfSplit) {
+  const idx m = 23, n = 10, k = 1100;
+  Matrix a = random_matrix(k, m, 360);
+  Matrix b = random_matrix(k, n, 361);
+  Matrix c0 = random_matrix(m, n, 362);
+  Matrix whole = c0;
+  gemm_inner(0.5, a, b, whole.view());
+  Matrix parts = c0;
+  const idx row_cuts[] = {0, 5, 6, 17, m};  // pieces of 5, 1, 11, 6 rows
+  const idx col_cuts[] = {0, 3, n};         // pieces of 3, 7 columns
+  for (int r = 0; r < 4; ++r) {
+    for (int q = 0; q < 2; ++q) {
+      const idx i0 = row_cuts[r], mi = row_cuts[r + 1] - i0;
+      const idx j0 = col_cuts[q], nj = col_cuts[q + 1] - j0;
+      gemm_inner(0.5, a.view().cols_range(i0, mi), b.view().cols_range(j0, nj),
+                 parts.view().block(i0, j0, mi, nj));
+    }
+  }
+  EXPECT_TRUE(same_bits(whole, parts));
+}
+
+TEST(GemmInner, SameBitsOnRepeatedCallsFromTwoThreads) {
+  const idx m = 50, n = 50, k = 2501;
+  Matrix a = random_matrix(k, m, 370);
+  Matrix b = random_matrix(k, n, 371);
+  Matrix c0 = random_matrix(m, n, 372);
+  Matrix expect = c0;
+  gemm_inner(1.0, a, b, expect.view());
+  bool ok[2] = {true, true};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 5; ++rep) {
+        Matrix c = c0;
+        gemm_inner(1.0, a, b, c.view());
+        ok[t] = ok[t] && same_bits(c, expect);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
 }
 
 TEST(Gemm, BlockingParametersExposed) {

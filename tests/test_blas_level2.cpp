@@ -53,6 +53,34 @@ TEST(Gemv, BetaZeroOverwritesGarbage) {
   EXPECT_FALSE(std::isnan(y[0]));
 }
 
+// The lane-accumulated Trans path: m not a multiple of 8 (the lane tail),
+// column counts around the 4-column blocking, unit and strided x / y.
+TEST(Gemv, TransLaneTailsMatchReference) {
+  for (idx m : {idx{1}, idx{7}, idx{9}, idx{15}, idx{33}, idx{1001}}) {
+    for (idx n : {idx{1}, idx{3}, idx{4}, idx{5}, idx{9}}) {
+      for (idx inc : {idx{1}, idx{2}}) {
+        Matrix a = random_matrix(m, n, 600 + static_cast<std::uint64_t>(m));
+        Matrix xs = random_matrix(m * inc, 1, 601);
+        std::vector<double> y(static_cast<std::size_t>(n * inc), 0.25);
+        std::vector<double> y_ref = y;
+        gemv(Trans::Trans, -0.5, a, xs.data(), inc, 2.0, y.data(), inc);
+        for (idx j = 0; j < n; ++j) {
+          double s = 0;
+          for (idx i = 0; i < m; ++i) s += a(i, j) * xs(i * inc, 0);
+          double& r = y_ref[static_cast<std::size_t>(j * inc)];
+          r = -0.5 * s + 2.0 * r;
+        }
+        for (idx j = 0; j < n * inc; ++j) {
+          EXPECT_NEAR(y[static_cast<std::size_t>(j)],
+                      y_ref[static_cast<std::size_t>(j)],
+                      1e-13 * static_cast<double>(m))
+              << "m=" << m << " n=" << n << " inc=" << inc << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(Ger, Rank1Update) {
   Matrix a = Matrix::zeros(4, 3);
   std::vector<double> x = {1, 2, 3, 4};

@@ -338,5 +338,35 @@ TEST(LarfbLeft, EmptyCIsNoop) {
   SUCCEED();
 }
 
+// The Gram-product shape rule reads only the reflector shape: a narrow, tall
+// V (k <= 64, m - k >= 16 k) takes gemm_inner for W = C2^T V2, so its pack
+// skips the dead B-operand copy; a wide one keeps both packs. Either way the
+// packed application matches the unpacked one bit for bit.
+TEST(LarfbLeft, PackedMatchesUnpackedOnBothSidesOfShapeRule) {
+  struct Shape {
+    idx m, k;
+    bool inner;
+  };
+  for (const Shape& sh : {Shape{1000, 50, true}, Shape{816, 48, true},
+                          Shape{815, 48, false}, Shape{500, 100, false},
+                          Shape{96, 16, false}}) {
+    Matrix v = random_matrix(sh.m, sh.k, 310);
+    std::vector<double> tau;
+    Matrix t = Matrix::zeros(sh.k, sh.k);
+    geqr3(v.view(), tau, t.view());
+    const LarfbPackedV vp = larfb_pack_v(v.view());
+    EXPECT_FALSE(vp.v2_a.empty()) << sh.m << "x" << sh.k;
+    EXPECT_EQ(vp.v2_b.empty(), sh.inner) << sh.m << "x" << sh.k;
+    for (blas::Trans tr : {blas::Trans::Trans, blas::Trans::NoTrans}) {
+      Matrix c_packed = random_matrix(sh.m, 37, 311);
+      Matrix c_plain = c_packed;
+      larfb_left(tr, v.view(), t.view(), vp, c_packed.view());
+      larfb_left(tr, v.view(), t.view(), c_plain.view());
+      EXPECT_EQ(test::max_diff(c_packed.view(), c_plain.view()), 0.0)
+          << sh.m << "x" << sh.k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace camult::lapack
